@@ -285,7 +285,7 @@ func TestScaledProbesMatchHistogram(t *testing.T) {
 				t.Errorf("tiled-tcam: index %d + tile %d probes != charged %d",
 					tt.IndexProbes(), tt.TileProbes(), st.Probes)
 			}
-		case *rtable.CompressedTable:
+		case *rtable.MultibitTable:
 			for _, c := range tt.LevelProbes() {
 				histSum += c
 			}

@@ -115,12 +115,13 @@ func TableSRAM(kind rtable.Kind, dims rtable.MemDims, clockHz float64, tech Tech
 		standby := tcamStandbyFrac * cam.ChipPowerW * float64(m.CAMChips)
 		m.CAMPowerW = active + standby
 	case rtable.Compressed:
-		// Bitmap bits replace the multibit table's expanded slots; only
-		// occupied children pay pointer-width records.
-		bits = int64(dims.CompressedSlots) + // 1 bit per expanded slot
-			int64(dims.CompressedNodes)*compressedNodeBits +
-			int64(dims.CompressedKids)*compressedKidBits +
-			int64(dims.CompressedLeaves)*trieLeafBits +
+		// The multibit trie priced as bitmap+rank storage: bitmap bits
+		// replace the expanded slots; only occupied children pay
+		// pointer-width records.
+		bits = int64(dims.TrieSlots) + // 1 bit per expanded slot
+			int64(dims.TrieNodes)*compressedNodeBits +
+			int64(dims.TrieKids)*compressedKidBits +
+			int64(dims.TrieLeaves)*trieLeafBits +
 			int64(dims.Entries)*resultBits
 	}
 	m.Bits = bits

@@ -1,228 +1,38 @@
-// White-box equivalence suite for the compressed backend: the
-// CRAM-style table is by construction the multibit trie with a
-// different child-array representation, so the two must agree not only
-// on every lookup result but on every probe count — identical
-// per-level histograms for identical operation streams. That strong
-// equality is what lets the scaled cycle model treat the compressed
-// walk as the multibit walk at a different storage price.
+// The Compressed kind is the multibit trie under a different storage
+// price: for the same routes both kinds must report identical storage
+// dims, and TrieKids — the records the compressed price charges
+// pointer width for — must count exactly the occupied child slots.
 package rtable
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"taco/internal/bits"
 )
 
-// cpPair drives a multibit and a compressed table in lockstep.
-type cpPair struct {
-	mb *MultibitTable
-	cp *CompressedTable
-}
-
-func newCPPair() cpPair {
-	return cpPair{
-		mb: NewMultibit(DefaultMultibitConfig()),
-		cp: NewCompressed(DefaultCompressedConfig()),
-	}
-}
-
-func (p cpPair) insert(t *testing.T, r Route) {
-	t.Helper()
-	if err := p.mb.Insert(r); err != nil {
-		t.Fatalf("multibit insert %v: %v", r.Prefix, err)
-	}
-	if err := p.cp.Insert(r); err != nil {
-		t.Fatalf("compressed insert %v: %v", r.Prefix, err)
-	}
-}
-
-func (p cpPair) delete(t *testing.T, pre bits.Prefix) {
-	t.Helper()
-	if got, want := p.cp.Delete(pre), p.mb.Delete(pre); got != want {
-		t.Fatalf("Delete(%v): compressed %v, multibit %v", pre, got, want)
-	}
-}
-
-// check asserts full observable equality: lookup result AND per-level
-// probe histogram for each destination, plus structural agreement.
-func (p cpPair) check(t *testing.T, dests ...bits.Word128) {
-	t.Helper()
-	for _, dst := range dests {
-		p.mb.ResetStats()
-		p.cp.ResetStats()
-		mr, mok := p.mb.Lookup(dst)
-		cr, cok := p.cp.Lookup(dst)
-		if mok != cok || mr != cr {
-			t.Fatalf("Lookup(%v): compressed (%v,%v), multibit (%v,%v)", dst, cr, cok, mr, mok)
-		}
-		if ms, cs := p.mb.Stats(), p.cp.Stats(); ms != cs {
-			t.Fatalf("Lookup(%v): compressed stats %+v, multibit %+v", dst, cs, ms)
-		}
-		if mh, ch := p.mb.LevelProbes(), p.cp.LevelProbes(); !reflect.DeepEqual(mh, ch) {
-			t.Fatalf("Lookup(%v): compressed level histogram %v, multibit %v", dst, ch, mh)
-		}
-	}
-	if p.mb.Len() != p.cp.Len() {
-		t.Fatalf("Len: compressed %d, multibit %d", p.cp.Len(), p.mb.Len())
-	}
-	mr, cr := p.mb.Routes(), p.cp.Routes()
-	if len(mr) != len(cr) {
-		t.Fatalf("Routes: compressed %d entries, multibit %d", len(cr), len(mr))
-	}
-	for i := range mr {
-		if mr[i] != cr[i] {
-			t.Fatalf("Routes[%d]: compressed %v, multibit %v", i, cr[i], mr[i])
-		}
-	}
-	if p.mb.Depth() != p.cp.Depth() {
-		t.Fatalf("Depth: compressed %d, multibit %d", p.cp.Depth(), p.mb.Depth())
-	}
-}
-
-// TestCompressedMirrorsMultibitEdgeCases replays the edge-case shapes
-// of edgecases_test.go against the pair: default route under host
-// routes, /128s, ancestor deletion, aliased prefixes.
-func TestCompressedMirrorsMultibitEdgeCases(t *testing.T) {
-	host := bits.Word128{Hi: 0x20010db800000000, Lo: 1}
-
-	t.Run("default-and-host", func(t *testing.T) {
-		p := newCPPair()
-		p.insert(t, Route{Prefix: bits.MakePrefix(bits.Word128{}, 0), Iface: 0, Metric: 1})
-		p.insert(t, Route{Prefix: bits.MakePrefix(host, 128), Iface: 1, Metric: 1})
-		p.check(t, host, host.Or(bits.FromUint64(2)), bits.Word128{Hi: 1})
-		p.delete(t, bits.MakePrefix(host, 128))
-		p.check(t, host)
-		p.delete(t, bits.MakePrefix(bits.Word128{}, 0))
-		p.check(t, host)
-	})
-
-	t.Run("ancestor-delete", func(t *testing.T) {
-		p := newCPPair()
-		for _, ln := range []int{16, 24, 32, 48, 64, 128} {
-			p.insert(t, Route{Prefix: bits.MakePrefix(host, ln), Iface: ln % 4, Metric: 1})
-		}
-		p.check(t, host)
-		p.delete(t, bits.MakePrefix(host, 16)) // strict ancestor goes
-		p.check(t, host)
-		p.delete(t, bits.MakePrefix(host, 128)) // deepest goes
-		p.check(t, host)
-	})
-
-	t.Run("aliased-prefixes", func(t *testing.T) {
-		p := newCPPair()
-		dirty := host.Or(bits.FromUint64(0xdeadbeef))
-		p.insert(t, Route{Prefix: bits.Prefix{Addr: dirty, Len: 32}, Iface: 1, Metric: 1})
-		p.insert(t, Route{Prefix: bits.Prefix{Addr: host, Len: 32}, Iface: 2, Metric: 1})
-		if p.cp.Len() != 1 {
-			t.Fatalf("aliased insert duplicated: Len = %d", p.cp.Len())
-		}
-		p.check(t, host, dirty)
-		p.delete(t, bits.Prefix{Addr: dirty, Len: 32}) // aliased delete
-		p.check(t, host)
-	})
-}
-
-// TestCompressedChurnEqualsMultibit is the long-form property: a
-// seeded churn campaign where after every operation both tables agree
-// on lookups and probe histograms over a destination panel.
-func TestCompressedChurnEqualsMultibit(t *testing.T) {
-	p := newCPPair()
-	rng := rand.New(rand.NewSource(42))
-	base := bits.Word128{Hi: 0x2001000000000000}
-	lens := []int{0, 16, 24, 33, 48, 64, 65, 96, 127, 128}
-
-	var live []bits.Prefix
-	for step := 0; step < 3000; step++ {
-		addr := base.Or(bits.FromUint64(uint64(rng.Intn(2000)))).
-			Or(bits.FromUint64(uint64(rng.Intn(16))).Shl(64 - 17))
-		if rng.Intn(3) != 0 || len(live) == 0 {
-			pre := bits.MakePrefix(addr, lens[rng.Intn(len(lens))])
-			p.insert(t, Route{Prefix: pre, NextHop: bits.FromUint64(uint64(step)), Iface: step % 4, Metric: 1 + step%15})
-			live = append(live, pre)
-		} else {
-			i := rng.Intn(len(live))
-			p.delete(t, live[i])
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		if step%100 == 99 {
-			dests := make([]bits.Word128, 0, 8)
-			for j := 0; j < 8; j++ {
-				dests = append(dests, base.Or(bits.FromUint64(uint64(rng.Intn(2200)))))
-			}
-			p.check(t, dests...)
-		}
-	}
-	p.check(t, base, bits.Word128{})
-}
-
-// TestCompressedRankOps unit-tests the bitmap/rank machinery the
-// compact child array stands on.
-func TestCompressedRankOps(t *testing.T) {
-	tbl := NewCompressed(DefaultCompressedConfig())
-	n := tbl.newNode(0) // stride 16: 1024-word bitmap
-	keys := []uint32{0, 1, 63, 64, 65, 1000, 65535}
-	for i, k := range keys {
-		n.setChild(k, cpChild{leaf: &Route{Iface: i}})
-	}
-	for i, k := range keys {
-		if !n.hasChild(k) {
-			t.Fatalf("hasChild(%d) = false after set", k)
-		}
-		if got := n.rank(k); got != i {
-			t.Fatalf("rank(%d) = %d, want %d", k, got, i)
-		}
-		if n.kids[n.rank(k)].leaf.Iface != i {
-			t.Fatalf("kid at rank(%d) holds iface %d, want %d", k, n.kids[n.rank(k)].leaf.Iface, i)
-		}
-	}
-	if n.hasChild(2) || n.hasChild(999) {
-		t.Fatal("hasChild true for unset slots")
-	}
-	// Replace in place must not grow the compact array.
-	n.setChild(64, cpChild{leaf: &Route{Iface: 99}})
-	if len(n.kids) != len(keys) {
-		t.Fatalf("replace grew kids to %d", len(n.kids))
-	}
-	n.clearChild(64)
-	if n.hasChild(64) || len(n.kids) != len(keys)-1 {
-		t.Fatal("clearChild left the slot set")
-	}
-	if got := n.rank(65); got != 3 {
-		t.Fatalf("rank(65) after clear = %d, want 3", got)
-	}
-}
-
-// TestCompressedMemDims pins the compression claim the estimate layer
-// prices: bitmap bits mirror the multibit slot count one-for-one while
-// child records only exist for occupied slots.
 func TestCompressedMemDims(t *testing.T) {
-	p := newCPPair()
+	mb, cp := New(Multibit), New(Compressed)
+	if mb.Kind() != Multibit || cp.Kind() != Compressed {
+		t.Fatalf("New built kinds %v and %v", mb.Kind(), cp.Kind())
+	}
 	rng := rand.New(rand.NewSource(7))
 	base := bits.Word128{Hi: 0x2001000000000000}
 	for i := 0; i < 2000; i++ {
 		addr := base.Or(bits.FromUint64(uint64(rng.Intn(100000)) << 12))
-		pre := bits.MakePrefix(addr, []int{32, 48, 64, 128}[rng.Intn(4)])
-		p.insert(t, Route{Prefix: pre, Metric: 1})
+		r := Route{Prefix: bits.MakePrefix(addr, []int{32, 48, 64, 128}[rng.Intn(4)]), Metric: 1}
+		if err := mb.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.Insert(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	md, cd := p.mb.MemDims(), p.cp.MemDims()
-	if cd.CompressedNodes != md.TrieNodes {
-		t.Fatalf("CompressedNodes = %d, multibit TrieNodes = %d", cd.CompressedNodes, md.TrieNodes)
+	md, cd := mb.(MemSizer).MemDims(), cp.(MemSizer).MemDims()
+	if md != cd {
+		t.Fatalf("compressed dims %+v, multibit %+v", cd, md)
 	}
-	if cd.CompressedSlots != md.TrieSlots {
-		t.Fatalf("CompressedSlots = %d, multibit TrieSlots = %d (must mirror 1 bit per slot)",
-			cd.CompressedSlots, md.TrieSlots)
-	}
-	if cd.CompressedLeaves != md.TrieLeaves {
-		t.Fatalf("CompressedLeaves = %d, multibit TrieLeaves = %d", cd.CompressedLeaves, md.TrieLeaves)
-	}
-	if cd.CompressedKids >= cd.CompressedSlots {
-		t.Fatalf("occupied kids %d not sparse against %d slots — compression vacuous",
-			cd.CompressedKids, cd.CompressedSlots)
-	}
-	if cd.CompressedKids <= 0 {
-		t.Fatal("no occupied child records counted")
+	if s := ShapeOf(cp); cd.TrieKids != s.Kids {
+		t.Fatalf("TrieKids = %d, walked %d occupied child slots", cd.TrieKids, s.Kids)
 	}
 }

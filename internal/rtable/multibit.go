@@ -73,7 +73,13 @@ type mbNode struct {
 // per-level probe accounting. It is the scaling-study backend — not in
 // the paper's Table 1, but the organisation related work (CRAM, MashUp)
 // shows winning on 10⁵–10⁶ entry databases.
+//
+// The same trie also serves the Compressed kind: a CRAM-style table
+// walks exactly these nodes and differs only in how hardware stores a
+// node's children (an occupancy bitmap plus rank-indexed records for
+// the occupied slots), which the estimation layer prices from MemDims.
 type MultibitTable struct {
+	kind Kind
 	cfg  MultibitConfig
 	offs []int // offs[i] = bits consumed before level i; offs[len] = 128
 
@@ -98,6 +104,7 @@ func NewMultibit(cfg MultibitConfig) *MultibitTable {
 		offs[i+1] = offs[i] + s
 	}
 	t := &MultibitTable{
+		kind:          Multibit,
 		cfg:           cfg,
 		offs:          offs,
 		nodesPerLevel: make([]int, len(cfg.Strides)),
@@ -107,8 +114,9 @@ func NewMultibit(cfg MultibitConfig) *MultibitTable {
 	return t
 }
 
-// Kind implements Table.
-func (t *MultibitTable) Kind() Kind { return Multibit }
+// Kind implements Table: Multibit, or Compressed for a table built by
+// New(Compressed).
+func (t *MultibitTable) Kind() Kind { return t.kind }
 
 // Config returns the stride schedule.
 func (t *MultibitTable) Config() MultibitConfig { return t.cfg }
@@ -377,14 +385,16 @@ func (t *MultibitTable) Depth() int {
 	return d
 }
 
-// MemDims implements MemSizer: the hardware footprint of the trie is
-// one 2^stride slot array per allocated node plus the path-compressed
-// leaf records.
+// MemDims implements MemSizer: the allocated nodes with their 2^stride
+// expanded slots, the path-compressed leaf records, and the occupied
+// child slots. Every non-root node and every leaf fills exactly one
+// parent slot, so TrieKids is (nodes − 1) + leaves.
 func (t *MultibitTable) MemDims() MemDims {
 	dims := MemDims{Entries: t.count, TrieLeaves: t.leaves}
 	for lvl, n := range t.nodesPerLevel {
 		dims.TrieNodes += n
 		dims.TrieSlots += n << uint(t.cfg.Strides[lvl])
 	}
+	dims.TrieKids = dims.TrieNodes - 1 + t.leaves
 	return dims
 }

@@ -56,9 +56,10 @@ const (
 	// with an SRAM index stage selecting the single block a lookup
 	// activates.
 	TiledTCAM
-	// Compressed is the CRAM-style compressed trie: the multibit walk
-	// with bitmap-compressed child arrays, trading popcount-rank logic
-	// for an order-of-magnitude smaller SRAM footprint.
+	// Compressed is the CRAM-style compressed trie: the multibit walk,
+	// priced as bitmap+rank SRAM — one occupancy bit per expanded slot
+	// plus records for the occupied slots only, an order-of-magnitude
+	// smaller footprint for the same probes.
 	Compressed
 )
 
@@ -202,7 +203,9 @@ func New(k Kind) Table {
 	case TiledTCAM:
 		return NewTiledTCAM(DefaultTiledTCAMConfig())
 	case Compressed:
-		return NewCompressed(DefaultCompressedConfig())
+		t := NewMultibit(DefaultMultibitConfig())
+		t.kind = Compressed
+		return t
 	}
 	panic(fmt.Sprintf("rtable: unknown kind %d", int(k)))
 }
@@ -214,18 +217,14 @@ type MemDims struct {
 	Entries     int // installed prefixes (all kinds)
 	TreeNodes   int // balanced-tree range nodes
 	BinaryNodes int // patricia/binary trie nodes
-	TrieNodes   int // multibit internal nodes
-	TrieSlots   int // multibit expanded child slots (Σ 2^stride per node)
-	TrieLeaves  int // multibit path-compressed leaf records
+	TrieNodes   int // multibit/compressed internal nodes
+	TrieSlots   int // multibit/compressed expanded child slots (Σ 2^stride per node)
+	TrieLeaves  int // multibit/compressed path-compressed leaf records
+	TrieKids    int // multibit/compressed occupied child slots
 
 	TCAMBlocks  int // tiled-TCAM allocated ternary blocks
 	TCAMEntries int // tiled-TCAM occupied ternary entries (incl. covering copies)
 	IndexNodes  int // tiled-TCAM index-stage SRAM nodes
-
-	CompressedNodes  int // compressed-trie internal nodes
-	CompressedSlots  int // compressed-trie bitmap bits (Σ 2^stride per node)
-	CompressedKids   int // compressed-trie occupied child records
-	CompressedLeaves int // compressed-trie path-compressed leaf records
 }
 
 // MemSizer is implemented by tables that can report their storage
