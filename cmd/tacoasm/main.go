@@ -37,37 +37,37 @@ func main() {
 	flag.Parse()
 	stopProf, err := prof.Start()
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoasm", err)
 	}
 	defer stopProf()
 
 	cfg, err := cliutil.ConfigByName(*config, 0)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoasm", err)
 	}
 	m, err := fu.NewComputeMachine(cfg)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoasm", err)
 	}
 
 	switch {
 	case *figure3:
 		if err := runFigure3(m, cfg); err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoasm", err)
 		}
 	case *file != "":
 		src, err := os.ReadFile(*file)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoasm", err)
 		}
 		prog, err := asm.Assemble(string(src), m)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoasm", err)
 		}
 		if *opt {
 			res, err := sched.Compile(prog, m, sched.AllOptimizations)
 			if err != nil {
-				fatal(err)
+				cliutil.Fatal("tacoasm", err)
 			}
 			fmt.Printf("; optimized: %d -> %d moves, %d cycles on %d bus(es)\n",
 				res.MovesIn, res.MovesOut, res.Cycles, cfg.Buses)
@@ -77,25 +77,25 @@ func main() {
 		if *out != "" {
 			data, err := isa.EncodeProgram(prog)
 			if err != nil {
-				fatal(err)
+				cliutil.Fatal("tacoasm", err)
 			}
 			if err := os.WriteFile(*out, data, 0o644); err != nil {
-				fatal(err)
+				cliutil.Fatal("tacoasm", err)
 			}
 			fmt.Printf("; wrote %d bytes to %s\n", len(data), *out)
 		}
 	case *dis != "":
 		data, err := os.ReadFile(*dis)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoasm", err)
 		}
 		prog, err := isa.DecodeProgram(data)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoasm", err)
 		}
 		fmt.Print(asm.Disassemble(prog, m))
 	default:
-		fatal(fmt.Errorf("nothing to do: pass -figure3, -f prog.s or -d prog.bin"))
+		cliutil.Fatal("tacoasm", fmt.Errorf("nothing to do: pass -figure3, -f prog.s or -d prog.bin"))
 	}
 }
 
@@ -114,9 +114,4 @@ func runFigure3(m *tta.Machine, cfg fu.Config) error {
 		100*(1-float64(f3.MovesOpt)/float64(f3.MovesNonOpt)),
 		100*(1-float64(f3.CyclesOpt)/float64(f3.CyclesNonOpt)))
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tacoasm:", err)
-	os.Exit(1)
 }

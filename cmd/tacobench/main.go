@@ -28,6 +28,7 @@ import (
 	"sort"
 	"testing"
 
+	"taco/internal/cliutil"
 	"taco/internal/fu"
 	"taco/internal/linecard"
 	"taco/internal/obs"
@@ -116,7 +117,7 @@ func main() {
 		for _, cfg := range fu.PaperConfigs(kind) {
 			rec, err := measureCell(kind, cfg, *entries, *packets, *runs)
 			if err != nil {
-				fatal(fmt.Errorf("%v/%s: %w", kind, cfg.Name, err))
+				cliutil.Fatal("tacobench", fmt.Errorf("%v/%s: %w", kind, cfg.Name, err))
 			}
 			fmt.Fprintf(os.Stderr, "tacobench: %-13v %-16s %9d ns/op interpreted, %9d ns/op compiled, %9d ns/op compiled+obs, %9d ns/op compiled+rec, %.2fx, obs %.2fx, rec %.2fx\n",
 				kind, cfg.Name, rec.InterpretedNsOp, rec.CompiledNsOp, rec.CompiledObsNsOp,
@@ -138,7 +139,7 @@ func main() {
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("tacobench", err)
 		}
 		defer f.Close()
 		w = f
@@ -146,14 +147,14 @@ func main() {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
-		fatal(err)
+		cliutil.Fatal("tacobench", err)
 	}
 	if *guard > 0 && rep.AggregateCounterOverhead > *guard {
-		fatal(fmt.Errorf("counter overhead %.2fx exceeds the %.2fx guard",
+		cliutil.Fatal("tacobench", fmt.Errorf("counter overhead %.2fx exceeds the %.2fx guard",
 			rep.AggregateCounterOverhead, *guard))
 	}
 	if *guardRec > 0 && rep.AggregateRecorderOverhead > *guardRec {
-		fatal(fmt.Errorf("recorder overhead %.2fx exceeds the %.2fx guard",
+		cliutil.Fatal("tacobench", fmt.Errorf("recorder overhead %.2fx exceeds the %.2fx guard",
 			rep.AggregateRecorderOverhead, *guardRec))
 	}
 }
@@ -266,9 +267,4 @@ func benchOnce(kind rtable.Kind, cfg fu.Config, entries, packets int, compiled, 
 
 func round2(v float64) float64 {
 	return float64(int64(v*100+0.5)) / 100
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tacobench:", err)
-	os.Exit(1)
 }

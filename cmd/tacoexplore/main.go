@@ -79,7 +79,7 @@ func main() {
 	flag.Parse()
 	stopProf, err := prof.Start()
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoexplore", err)
 	}
 	defer stopProf()
 
@@ -114,23 +114,23 @@ func main() {
 
 	if *table1 {
 		if err := runTable1(ctx, cons, sim, *workers, *jsonOut, exp); err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoexplore", err)
 		}
 	}
 	if *campower {
 		if err := runCAMPower(ctx, cons, sim, *workers); err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoexplore", err)
 		}
 	}
 	if *auto {
 		if err := runAuto(ctx, cons, sim, *workers, *jsonOut, exp); err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoexplore", err)
 		}
 	}
 	if *sweep != "" {
 		lt := largeOpts{kinds: *tableKind, sizes: *tableSize, churn: *churn}
 		if err := runSweep(ctx, *sweep, cons, sim, *workers, *jsonOut, lt, exp); err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoexplore", err)
 		}
 	}
 }
@@ -218,11 +218,6 @@ func parseSizes(list string) ([]int, error) {
 		return nil, fmt.Errorf("no table sizes given")
 	}
 	return sizes, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tacoexplore:", err)
-	os.Exit(1)
 }
 
 func runTable1(ctx context.Context, cons core.Constraints, sim core.SimOptions, workers int, jsonOut bool, exp obsExport) error {

@@ -35,25 +35,25 @@ func main() {
 	flag.Parse()
 	stopProf, err := prof.Start()
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacogen", err)
 	}
 	defer stopProf()
 
 	kind, err := cliutil.KindByName(*table)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacogen", err)
 	}
 	cfg, err := cliutil.ConfigByName(*config, kind)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacogen", err)
 	}
 	m, _, err := fu.NewRouterMachine(cfg, rtable.New(kind), linecard.NewBank(5))
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacogen", err)
 	}
 	models, err := gen.Generate(cfg, m, estimate.Default180nm())
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacogen", err)
 	}
 
 	emit := func(name, content string) {
@@ -63,7 +63,7 @@ func main() {
 		}
 		path := filepath.Join(*dir, name)
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			fatal(err)
+			cliutil.Fatal("tacogen", err)
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", path, len(content))
 	}
@@ -80,9 +80,4 @@ func main() {
 	if *model == "matlab" || *model == "all" {
 		emit("taco_"+base+".m", models.Matlab)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tacogen:", err)
-	os.Exit(1)
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 
+	"taco/internal/cliutil"
 	"taco/internal/forensics"
 	"taco/internal/obs"
 )
@@ -47,7 +48,7 @@ func main() {
 	}
 	b, err := forensics.Load(*bundlePath)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoreplay", err)
 	}
 	fmt.Printf("bundle: %s (version %d, kind %s", *bundlePath, b.Version, b.Kind)
 	if b.Label != "" {
@@ -73,12 +74,12 @@ func main() {
 		c := *path == "compiled"
 		opts.Path = &c
 	default:
-		fatal(fmt.Errorf("unknown -path %q (want interpreted or compiled)", *path))
+		cliutil.Fatal("tacoreplay", fmt.Errorf("unknown -path %q (want interpreted or compiled)", *path))
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoreplay", err)
 		}
 		tw := obs.NewTraceWriter(f)
 		opts.Trace = tw
@@ -92,7 +93,7 @@ func main() {
 
 	if *diff {
 		if err := runDiff(b, opts); err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoreplay", err)
 		}
 		return
 	}
@@ -107,11 +108,11 @@ func main() {
 func runVerify(b *forensics.Bundle, opts forensics.ReplayOptions) {
 	res, err := forensics.Replay(b, opts)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoreplay", err)
 	}
 	printOutcome(res)
 	if err := forensics.CheckReproduction(b, res); err != nil {
-		fatal(fmt.Errorf("NOT reproduced: %w", err))
+		cliutil.Fatal("tacoreplay", fmt.Errorf("NOT reproduced: %w", err))
 	}
 	fmt.Println("reproduction: OK — replay matches the bundle's recorded failure")
 }
@@ -177,7 +178,7 @@ func runStep(b *forensics.Bundle, opts forensics.ReplayOptions, until int64, pri
 		}
 	})
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoreplay", err)
 	}
 	printOutcome(res)
 	if len(res.Sockets) > 0 {
@@ -220,9 +221,4 @@ func printOutcome(res *forensics.ReplayResult) {
 	if res.Stall != nil && len(res.Tail) > 0 {
 		fmt.Printf("  (recorder retained %d events; -tail or -step to inspect)\n", len(res.Tail))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tacoreplay:", err)
-	os.Exit(1)
 }

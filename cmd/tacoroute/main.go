@@ -64,17 +64,17 @@ func main() {
 	flag.Parse()
 	stopProf, err := pprofFlags.Start()
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoroute", err)
 	}
 	defer stopProf()
 
 	kind, err := cliutil.KindByName(*table)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoroute", err)
 	}
 	cfg, err := cliutil.ConfigByName(*config, kind)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoroute", err)
 	}
 
 	if *soak {
@@ -84,7 +84,7 @@ func main() {
 	}
 	inj, err := faultFlags.Injector()
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoroute", err)
 	}
 
 	routes := workload.GenerateRoutes(workload.TableSpec{
@@ -95,7 +95,7 @@ func main() {
 	spec.MissRatio = 0.05
 	pkts, err := workload.GenerateTraffic(routes, spec)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoroute", err)
 	}
 	for i := range pkts {
 		pkts[i].Data = inj.Apply(pkts[i].Data)
@@ -104,12 +104,12 @@ func main() {
 	tbl := rtable.New(kind)
 	for _, r := range routes {
 		if err := tbl.Insert(r); err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoroute", err)
 		}
 	}
 	tr, err := router.NewTACO(cfg, tbl, *ifaces)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoroute", err)
 	}
 	if inj != nil {
 		tr.EnableDropAudit()
@@ -135,7 +135,7 @@ func main() {
 		} else if inj == nil {
 			// Without injected faults every generated frame is valid, so a
 			// rejection can only be queue overflow — a real failure.
-			fatal(fmt.Errorf("line card overflow at packet %d", i))
+			cliutil.Fatal("tacoroute", fmt.Errorf("line card overflow at packet %d", i))
 		}
 	}
 	budget := int64(*packets) * int64(*entries+64) * 64
@@ -167,7 +167,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "tacoroute:", merr)
 			}
 		}
-		fatal(err)
+		cliutil.Fatal("tacoroute", err)
 	}
 	if inj != nil {
 		tr.FinalizeDropAudit()
@@ -230,7 +230,7 @@ func main() {
 			fmt.Println()
 		}
 		if n := tr.UnexplainedDrops(); n != 0 {
-			fatal(fmt.Errorf("%d machine drops could not be attributed to a DropReason", n))
+			cliutil.Fatal("tacoroute", fmt.Errorf("%d machine drops could not be attributed to a DropReason", n))
 		}
 	}
 	if lat := tr.Latency(); lat.Count > 0 {
@@ -242,13 +242,13 @@ func main() {
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, tr, ctrs, kind, cfg); err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoroute", err)
 		}
 	}
 
 	if *verify {
 		if err := crossCheck(kind, routes, pkts, outs, *ifaces); err != nil {
-			fatal(err)
+			cliutil.Fatal("tacoroute", err)
 		}
 		fmt.Println("  golden-router cross-check: OK")
 	}
@@ -350,14 +350,14 @@ func runSoak(cfg fu.Config, campaigns, packets, entries, ifaces int, seed uint64
 		MaxCycles: maxCycles, ForensicsDir: forensicsDir,
 	})
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacoroute", err)
 	}
 	fmt.Println(rep.String())
 	for _, b := range rep.Bundles {
 		fmt.Printf("  forensic bundle: %s (replay with: tacoreplay -bundle %s)\n", b, b)
 	}
 	if !rep.Clean() {
-		fatal(fmt.Errorf("soak diverged: %d stalls, %d mismatches, %d unexplained drops",
+		cliutil.Fatal("tacoroute", fmt.Errorf("soak diverged: %d stalls, %d mismatches, %d unexplained drops",
 			rep.Stalls, rep.Mismatches, rep.Unexplained))
 	}
 }
@@ -370,9 +370,4 @@ func bundleDatagrams(pkts []workload.Packet, ifaces int) []forensics.Datagram {
 		dgs[i] = forensics.Datagram{Iface: i % ifaces, Seq: p.Seq, Data: p.Data}
 	}
 	return dgs
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tacoroute:", err)
-	os.Exit(1)
 }

@@ -51,11 +51,11 @@ func main() {
 
 	cfg, err := cliutil.ConfigByName(*config, 0)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacosim", err)
 	}
 	m, err := fu.NewComputeMachine(cfg)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacosim", err)
 	}
 
 	if *describe {
@@ -63,24 +63,24 @@ func main() {
 		return
 	}
 	if *file == "" {
-		fatal(fmt.Errorf("nothing to do: pass -describe or -f prog.s"))
+		cliutil.Fatal("tacosim", fmt.Errorf("nothing to do: pass -describe or -f prog.s"))
 	}
 	stopProf, err := prof.Start()
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacosim", err)
 	}
 	defer stopProf()
 
 	src, err := os.ReadFile(*file)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacosim", err)
 	}
 	prog, err := asm.Assemble(string(src), m)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tacosim", err)
 	}
 	if err := m.Load(prog); err != nil {
-		fatal(err)
+		cliutil.Fatal("tacosim", err)
 	}
 
 	// Counters are recorded natively by both step paths — the compiled
@@ -100,7 +100,7 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("tacosim", err)
 		}
 		defer f.Close()
 		tw = obs.NewTraceWriter(f)
@@ -124,7 +124,7 @@ func main() {
 	if *compiled {
 		cm, cerr := tta.Compile(m)
 		if cerr != nil {
-			fatal(cerr)
+			cliutil.Fatal("tacosim", cerr)
 		}
 		step = func(n int64) (int64, error) { return cm.RunToPC(-1, n) }
 	} else {
@@ -148,13 +148,13 @@ func main() {
 	// program still deserves a loadable trace and a metrics scrape.
 	if tw != nil {
 		if cerr := tw.Close(); cerr != nil {
-			fatal(fmt.Errorf("trace-out: %w", cerr))
+			cliutil.Fatal("tacosim", fmt.Errorf("trace-out: %w", cerr))
 		}
 		fmt.Fprintf(os.Stderr, "tacosim: wrote %d trace events to %s\n", tw.Events(), *traceOut)
 	}
 	if *metricsOut != "" {
 		if merr := writeMetrics(*metricsOut, m, ctrs); merr != nil {
-			fatal(merr)
+			cliutil.Fatal("tacosim", merr)
 		}
 	}
 	if err != nil {
@@ -169,12 +169,12 @@ func main() {
 				fmt.Fprintf(os.Stderr, "tacosim: replay with: tacoreplay -bundle %s\n", path)
 			}
 		}
-		fatal(err)
+		cliutil.Fatal("tacosim", err)
 	}
 
 	if *jsonOut {
 		if err := emitJSON(m, ctrs, *read); err != nil {
-			fatal(err)
+			cliutil.Fatal("tacosim", err)
 		}
 		return
 	}
@@ -391,9 +391,4 @@ func emitJSON(m *tta.Machine, ctrs *obs.Counters, read string) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tacosim:", err)
-	os.Exit(1)
 }

@@ -5,6 +5,7 @@ package cliutil
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"taco/internal/fu"
@@ -59,4 +60,11 @@ func ConfigByName(name string, kind rtable.Kind) (fu.Config, error) {
 		return fu.Config3Bus3FU(kind), nil
 	}
 	return fu.Config{}, fmt.Errorf("unknown config %q (1bus | 3bus1fu | 3bus3fu)", name)
+}
+
+// Fatal reports err on stderr as "prog: err" and exits with status 1:
+// the shared failure path of the cmd/ tools whose exit 1 means an error.
+func Fatal(prog string, err error) {
+	fmt.Fprintln(os.Stderr, prog+":", err)
+	os.Exit(1)
 }

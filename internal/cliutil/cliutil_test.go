@@ -1,6 +1,10 @@
 package cliutil
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -67,5 +71,25 @@ func TestConfigByName(t *testing.T) {
 	}
 	if _, err := ConfigByName("5bus", rtable.CAM); err == nil {
 		t.Error("unknown config accepted")
+	}
+}
+
+// TestFatal runs Fatal in a child process of the test binary: it must
+// print exactly "prog: err" on stderr and exit with status 1.
+func TestFatal(t *testing.T) {
+	if os.Getenv("CLIUTIL_FATAL_CHILD") == "1" {
+		Fatal("tacotest", errors.New("boom"))
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFatal$")
+	cmd.Env = append(os.Environ(), "CLIUTIL_FATAL_CHILD=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("child exited with %v, want status 1", err)
+	}
+	if got, want := stderr.String(), "tacotest: boom\n"; got != want {
+		t.Fatalf("stderr = %q, want %q", got, want)
 	}
 }
