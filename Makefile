@@ -65,15 +65,16 @@ topo-soak:
 # Short differential fuzz bursts (one -fuzz pattern per go test
 # invocation); extend FUZZTIME for longer campaigns.
 FUZZTIME ?= 30s
-fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-compiled
+fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo
 
 # Golden router vs TACO processor on generated datagrams.
 fuzz-router:
 	$(GO) test ./internal/router -run xxx -fuzz FuzzGoldenVsTACO -fuzztime $(FUZZTIME)
 
-# All seven routing-table backends in lockstep on decoded op streams —
-# including a minimum-block tiled TCAM instance so the fuzzer reaches
-# the tile split/merge machinery.
+# All seven routing-table kinds in lockstep on decoded op streams —
+# compressed is the multibit walk, priced as bitmap+rank SRAM — plus a
+# minimum-block tiled TCAM instance so the fuzzer reaches the tile
+# split/merge machinery.
 fuzz-lpm:
 	$(GO) test ./internal/rtable -run xxx -fuzz FuzzLPMBackends -fuzztime $(FUZZTIME)
 
