@@ -73,8 +73,8 @@ const (
 	// TiledTCAM is the MashUp-style tiled ternary CAM: subtree tiles
 	// sized to a block budget behind an SRAM index stage.
 	TiledTCAM = rtable.TiledTCAM
-	// Compressed is the CRAM-style compressed trie: the multibit walk
-	// over bitmap-compressed child arrays.
+	// Compressed is the CRAM-style compressed trie: the multibit walk,
+	// priced as bitmap+rank SRAM.
 	Compressed = rtable.Compressed
 )
 
