@@ -73,8 +73,8 @@ type probe struct {
 	src       int
 	dstPrefix bits.Prefix
 	data      []byte
-	at        int   // current node
-	iface     int   // arrival interface at the current node
+	at        int // current node
+	iface     int // arrival interface at the current node
 	hops      int
 	born      int64
 	sweep     bool // verdict sweep: delivery is required
@@ -177,12 +177,12 @@ type Mesh struct {
 	violations  []Violation
 	bundlePaths []string
 
-	probeInjected, probeDelivered           int64
-	probeHopDelivered, probeLostDown        int64
-	probeLostRandom                         int64
-	probeDeaths                             map[string]int64
-	inFlight                                int64
-	stormInjected                           int64
+	probeInjected, probeDelivered    int64
+	probeHopDelivered, probeLostDown int64
+	probeLostRandom                  int64
+	probeDeaths                      map[string]int64
+	inFlight                         int64
+	stormInjected                    int64
 
 	cachedOracle *Oracle
 	oracleDirty  bool
@@ -276,7 +276,7 @@ func NewMesh(topo Topology, opt Options) (*Mesh, error) {
 	}
 	// peerIface back-references need every node's sorted nbr list.
 	for _, n := range m.nodes {
-		for i := range n.nbrs 	{
+		for i := range n.nbrs {
 			peer := m.nodes[n.nbrs[i].node]
 			for pf, pn := range peer.nbrs {
 				if pn.edge == n.nbrs[i].edge {
@@ -607,12 +607,7 @@ func (n *node) process(m *Mesh, now int64) {
 		n.ctrl.NodeDown += int64(len(inbox))
 	} else {
 		for _, msg := range inbox {
-			src, pkt, err := ripng.UnwrapUDP(msg.data)
-			if err != nil {
-				n.ctrl.Garbage++
-				continue
-			}
-			if err := n.eng.Receive(msg.iface, src, pkt); err != nil {
+			if err := n.eng.ReceiveDatagram(msg.iface, msg.data); err != nil {
 				n.ctrl.Garbage++
 				continue
 			}

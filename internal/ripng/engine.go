@@ -2,7 +2,7 @@ package ripng
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"taco/internal/bits"
 	"taco/internal/ipv6"
@@ -58,6 +58,10 @@ type Engine struct {
 	table  rtable.Table
 	ifaces []Iface
 	routes map[bits.Prefix]*ripRoute
+	// order holds the same routes as the map, kept sorted by prefix
+	// (address, then length) so every emission walks the RIB in
+	// deterministic order without sorting it.
+	order []*ripRoute
 
 	now        Clock
 	nextUpdate Clock
@@ -66,6 +70,10 @@ type Engine struct {
 	gc         Clock
 
 	out []OutPacket
+	// rx and tx are engine-owned RTE scratch buffers: rx receives
+	// decoded datagrams (ReceiveDatagram), tx collects exported entries
+	// before queueResponses copies them into caller-owned packets.
+	rx, tx []RTE
 
 	// Stats counters.
 	responsesIn, requestsIn, updatesOut int64
@@ -117,8 +125,25 @@ func (e *Engine) AddDirect(prefix bits.Prefix, iface int) error {
 		return fmt.Errorf("ripng: interface %d out of range", iface)
 	}
 	r := &ripRoute{prefix: prefix, iface: iface, metric: 1, direct: true}
-	e.routes[prefix] = r
+	e.addRoute(r)
 	return e.install(r)
+}
+
+// addRoute records r in the map and at its sorted position in order,
+// replacing any route already held for the same prefix.
+func (e *Engine) addRoute(r *ripRoute) {
+	e.routes[r.prefix] = r
+	i, found := slices.BinarySearchFunc(e.order, r.prefix, func(o *ripRoute, p bits.Prefix) int {
+		if c := o.prefix.Addr.Cmp(p.Addr); c != 0 {
+			return c
+		}
+		return o.prefix.Len - p.Len
+	})
+	if found {
+		e.order[i] = r
+		return
+	}
+	e.order = slices.Insert(e.order, i, r)
 }
 
 func (e *Engine) install(r *ripRoute) error {
@@ -153,15 +178,28 @@ func (e *Engine) Receive(iface int, src ipv6.Addr, p Packet) error {
 	return fmt.Errorf("ripng: command %d", p.Command)
 }
 
+// ReceiveDatagram is UnwrapUDP followed by Receive on the decoded
+// packet, with the RTEs decoded into an engine-owned buffer that the
+// next call reuses (Receive never retains them). A datagram that does
+// not unwrap is rejected with UnwrapUDP's error.
+func (e *Engine) ReceiveDatagram(iface int, datagram []byte) error {
+	src, p, err := unwrapAppend(datagram, e.rx[:0])
+	if err != nil {
+		return err
+	}
+	e.rx = p.RTEs
+	return e.Receive(iface, src, p)
+}
+
 func (e *Engine) handleRequest(iface int, src ipv6.Addr, p Packet) error {
 	if IsWholeTableRequest(p) {
-		rtes := e.exportRTEs(iface)
-		e.queueResponses(iface, src, rtes)
+		e.queueResponses(iface, src, e.exportRTEs(iface))
 		return nil
 	}
 	// Specific-prefix request: answer with our metric for each entry
-	// (Infinity when unknown), no split horizon (RFC 2080 §2.4.1).
-	resp := Packet{Command: CommandResponse}
+	// (Infinity when unknown), no split horizon (RFC 2080 §2.4.1), split
+	// at the MTU like any other response.
+	e.tx = e.tx[:0]
 	for _, q := range p.RTEs {
 		m := uint8(Infinity)
 		var tag uint16
@@ -169,9 +207,9 @@ func (e *Engine) handleRequest(iface int, src ipv6.Addr, p Packet) error {
 			m = uint8(r.metric)
 			tag = r.tag
 		}
-		resp.RTEs = append(resp.RTEs, RTE{Prefix: q.Prefix, Metric: m, Tag: tag})
+		e.tx = append(e.tx, RTE{Prefix: q.Prefix, Metric: m, Tag: tag})
 	}
-	e.out = append(e.out, OutPacket{Iface: iface, Dst: src, Pkt: resp})
+	e.queueResponses(iface, src, e.tx)
 	return nil
 }
 
@@ -218,7 +256,7 @@ func (e *Engine) updateRoute(prefix bits.Prefix, nextHop ipv6.Addr, iface, metri
 		}
 		r = &ripRoute{prefix: prefix, nextHop: nextHop, iface: iface,
 			metric: metric, tag: tag, changed: true, expires: e.now + e.timeout}
-		e.routes[prefix] = r
+		e.addRoute(r)
 		_ = e.install(r)
 	case r.direct:
 		return // connected routes never learned over
@@ -258,7 +296,7 @@ func (e *Engine) Tick(now Clock) {
 		return
 	}
 	e.now = now
-	for _, r := range e.routes {
+	for _, r := range e.order {
 		if r.direct || r.metric >= Infinity {
 			continue
 		}
@@ -266,7 +304,8 @@ func (e *Engine) Tick(now Clock) {
 			e.setMetric(r, Infinity, r.tag) // route timed out: poison it
 		}
 	}
-	for p, r := range e.routes {
+	keep := e.order[:0]
+	for _, r := range e.order {
 		// A poisoned route may only be garbage-collected after its
 		// metric-16 advertisement has gone out (r.changed cleared by the
 		// next update); deleting it first would silently withdraw the
@@ -274,10 +313,14 @@ func (e *Engine) Tick(now Clock) {
 		// the expiry -> poison advertisement -> deletion ordering even
 		// when the GC interval is zero.
 		if r.metric >= Infinity && r.gcAt != 0 && now >= r.gcAt && !r.changed {
-			delete(e.routes, p)
-			e.table.Delete(p)
+			delete(e.routes, r.prefix)
+			e.table.Delete(r.prefix)
+			continue
 		}
+		keep = append(keep, r)
 	}
+	clear(e.order[len(keep):])
+	e.order = keep
 	if now >= e.nextUpdate {
 		e.emitPeriodic()
 		e.nextUpdate = now + e.update
@@ -287,7 +330,7 @@ func (e *Engine) Tick(now Clock) {
 }
 
 func (e *Engine) anyChanged() bool {
-	for _, r := range e.routes {
+	for _, r := range e.order {
 		if r.changed {
 			return true
 		}
@@ -296,30 +339,30 @@ func (e *Engine) anyChanged() bool {
 }
 
 func (e *Engine) emitPeriodic() {
+	perIface := (len(e.order) + MaxRTEsPerPacket - 1) / MaxRTEsPerPacket
+	e.out = slices.Grow(e.out, perIface*len(e.ifaces))
 	for i := range e.ifaces {
-		rtes := e.exportRTEs(i)
-		e.queueResponses(i, ipv6.AllRIPRouters, rtes)
+		e.queueResponses(i, ipv6.AllRIPRouters, e.exportRTEs(i))
 	}
-	for _, r := range e.routes {
-		r.changed = false
-	}
-	e.updatesOut++
+	e.finishUpdate()
 }
 
 func (e *Engine) emitTriggered() {
 	for i := range e.ifaces {
-		var rtes []RTE
-		for _, r := range e.sortedRoutes() {
-			if !r.changed {
-				continue
+		e.tx = e.tx[:0]
+		for _, r := range e.order {
+			if r.changed {
+				e.tx = append(e.tx, e.exportOne(r, i))
 			}
-			rtes = append(rtes, e.exportOne(r, i))
 		}
-		if len(rtes) > 0 {
-			e.queueResponses(i, ipv6.AllRIPRouters, rtes)
-		}
+		e.queueResponses(i, ipv6.AllRIPRouters, e.tx)
 	}
-	for _, r := range e.routes {
+	e.finishUpdate()
+}
+
+// finishUpdate clears every change flag once an update has gone out.
+func (e *Engine) finishUpdate() {
+	for _, r := range e.order {
 		r.changed = false
 	}
 	e.updatesOut++
@@ -335,39 +378,29 @@ func (e *Engine) exportOne(r *ripRoute, iface int) RTE {
 	return RTE{Prefix: r.prefix, Metric: m, Tag: r.tag}
 }
 
+// exportRTEs exports the whole RIB, in prefix order, as advertised on
+// iface. The result lives in the engine's tx scratch buffer.
 func (e *Engine) exportRTEs(iface int) []RTE {
-	var rtes []RTE
-	for _, r := range e.sortedRoutes() {
-		rtes = append(rtes, e.exportOne(r, iface))
+	e.tx = e.tx[:0]
+	for _, r := range e.order {
+		e.tx = append(e.tx, e.exportOne(r, iface))
 	}
-	return rtes
+	return e.tx
 }
 
-// sortedRoutes returns routes in deterministic prefix order.
-func (e *Engine) sortedRoutes() []*ripRoute {
-	out := make([]*ripRoute, 0, len(e.routes))
-	for _, r := range e.routes {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].prefix.Addr.Cmp(out[j].prefix.Addr); c != 0 {
-			return c < 0
-		}
-		return out[i].prefix.Len < out[j].prefix.Len
-	})
-	return out
-}
-
-// queueResponses splits rtes across MTU-sized packets.
+// queueResponses splits rtes across MTU-sized packets. The packets own
+// one fresh copy of rtes between them (each capped at its own entries),
+// so rtes may be scratch and the caller of Collect may keep them.
 func (e *Engine) queueResponses(iface int, dst ipv6.Addr, rtes []RTE) {
+	if len(rtes) == 0 {
+		return
+	}
+	rtes = slices.Clone(rtes)
 	for len(rtes) > 0 {
-		n := len(rtes)
-		if n > MaxRTEsPerPacket {
-			n = MaxRTEsPerPacket
-		}
+		n := min(len(rtes), MaxRTEsPerPacket)
 		e.out = append(e.out, OutPacket{
 			Iface: iface, Dst: dst,
-			Pkt: Packet{Command: CommandResponse, RTEs: append([]RTE(nil), rtes[:n]...)},
+			Pkt: Packet{Command: CommandResponse, RTEs: rtes[:n:n]},
 		})
 		rtes = rtes[n:]
 	}

@@ -8,7 +8,9 @@
 package ripng
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"taco/internal/bits"
 	"taco/internal/ipv6"
@@ -52,18 +54,31 @@ type Packet struct {
 
 // Marshal encodes p into wire form.
 func (p Packet) Marshal() []byte {
-	out := make([]byte, 0, HeaderBytes+RTEBytes*len(p.RTEs))
-	out = append(out, p.Command, VersionRIPng, 0, 0)
+	return p.appendWire(make([]byte, 0, p.wireLen()))
+}
+
+// wireLen is the encoded size of p.
+func (p Packet) wireLen() int { return HeaderBytes + RTEBytes*len(p.RTEs) }
+
+// appendWire appends the wire form of p to dst. Marshal and WrapUDP both
+// encode through it.
+func (p Packet) appendWire(dst []byte) []byte {
+	dst = append(dst, p.Command, VersionRIPng, 0, 0)
 	for _, r := range p.RTEs {
-		ab := r.Prefix.Addr.Bytes()
-		out = append(out, ab[:]...)
-		out = append(out, byte(r.Tag>>8), byte(r.Tag), byte(r.Prefix.Len), r.Metric)
+		dst = binary.BigEndian.AppendUint64(dst, r.Prefix.Addr.Hi)
+		dst = binary.BigEndian.AppendUint64(dst, r.Prefix.Addr.Lo)
+		dst = append(dst, byte(r.Tag>>8), byte(r.Tag), byte(r.Prefix.Len), r.Metric)
 	}
-	return out
+	return dst
 }
 
 // Parse decodes a RIPng packet.
-func Parse(b []byte) (Packet, error) {
+func Parse(b []byte) (Packet, error) { return parseAppend(b, nil) }
+
+// parseAppend decodes a RIPng packet, appending its entries to rtes: the
+// returned packet's RTEs are rtes followed by the decoded entries, in
+// rtes' backing array when it has room. Parse is parseAppend(b, nil).
+func parseAppend(b []byte, rtes []RTE) (Packet, error) {
 	if len(b) < HeaderBytes {
 		return Packet{}, fmt.Errorf("ripng: packet of %d bytes too short", len(b))
 	}
@@ -78,11 +93,10 @@ func Parse(b []byte) (Packet, error) {
 	if len(body)%RTEBytes != 0 {
 		return Packet{}, fmt.Errorf("ripng: body of %d bytes not a multiple of %d", len(body), RTEBytes)
 	}
-	p := Packet{Command: cmd}
-	for off := 0; off < len(body); off += RTEBytes {
-		addr, _ := bits.FromBytes(body[off : off+16])
-		ln := int(body[off+18])
-		metric := body[off+19]
+	rtes = slices.Grow(rtes, len(body)/RTEBytes)
+	for ; len(body) > 0; body = body[RTEBytes:] {
+		ln := int(body[18])
+		metric := body[19]
 		if metric != NextHopMetric {
 			if ln > 128 {
 				return Packet{}, fmt.Errorf("ripng: prefix length %d", ln)
@@ -91,13 +105,14 @@ func Parse(b []byte) (Packet, error) {
 				return Packet{}, fmt.Errorf("ripng: metric %d out of range", metric)
 			}
 		}
-		p.RTEs = append(p.RTEs, RTE{
+		addr := bits.Word128{Hi: binary.BigEndian.Uint64(body[0:8]), Lo: binary.BigEndian.Uint64(body[8:16])}
+		rtes = append(rtes, RTE{
 			Prefix: bits.MakePrefix(addr, ln),
-			Tag:    uint16(body[off+16])<<8 | uint16(body[off+17]),
+			Tag:    binary.BigEndian.Uint16(body[16:18]),
 			Metric: metric,
 		})
 	}
-	return p, nil
+	return Packet{Command: cmd, RTEs: rtes}, nil
 }
 
 // WholeTableRequest returns the RFC 2080 §2.4.1 "send me everything"
@@ -117,23 +132,42 @@ func IsWholeTableRequest(p Packet) bool {
 }
 
 // WrapUDP encapsulates a RIPng packet in UDP+IPv6 for transmission from
-// src (a link-local address) to dst.
+// src (a link-local address) to dst. The datagram is built in one
+// buffer: IPv6 header, UDP header and RIPng payload are written in
+// place, then the UDP checksum is patched in.
 func WrapUDP(src, dst ipv6.Addr, p Packet) ([]byte, error) {
-	seg, err := ipv6.MarshalUDP(src, dst, Port, Port, p.Marshal())
-	if err != nil {
-		return nil, err
+	segLen := ipv6.UDPHeaderBytes + p.wireLen()
+	if segLen > 0xffff {
+		return nil, fmt.Errorf("ripng: %d RTEs overflow one UDP datagram", len(p.RTEs))
 	}
 	h := ipv6.Header{
-		HopLimit: 255, // RFC 2080 §2.5: multicast updates use hop limit 255
-		Src:      src,
-		Dst:      dst,
+		PayloadLen: uint16(segLen),
+		NextHeader: ipv6.ProtoUDP,
+		HopLimit:   255, // RFC 2080 §2.5: multicast updates use hop limit 255
+		Src:        src,
+		Dst:        dst,
 	}
-	return ipv6.BuildDatagram(h, nil, ipv6.ProtoUDP, seg)
+	out := h.Marshal(make([]byte, 0, ipv6.HeaderBytes+segLen))
+	uh := ipv6.UDPHeader{SrcPort: Port, DstPort: Port, Length: uint16(segLen)}
+	out = binary.BigEndian.AppendUint16(out, uh.SrcPort)
+	out = binary.BigEndian.AppendUint16(out, uh.DstPort)
+	out = binary.BigEndian.AppendUint16(out, uh.Length)
+	out = append(out, 0, 0) // checksum, patched below
+	out = p.appendWire(out)
+	payload := out[ipv6.HeaderBytes+ipv6.UDPHeaderBytes:]
+	binary.BigEndian.PutUint16(out[ipv6.HeaderBytes+6:], ipv6.UDPChecksum(src, dst, uh, payload))
+	return out, nil
 }
 
 // UnwrapUDP extracts a RIPng packet from a full IPv6 datagram, verifying
 // the UDP checksum and port.
 func UnwrapUDP(datagram []byte) (src ipv6.Addr, p Packet, err error) {
+	return unwrapAppend(datagram, nil)
+}
+
+// unwrapAppend is UnwrapUDP decoding the RTEs through parseAppend into
+// rtes.
+func unwrapAppend(datagram []byte, rtes []RTE) (src ipv6.Addr, p Packet, err error) {
 	h, err := ipv6.ParseHeader(datagram)
 	if err != nil {
 		return src, p, err
@@ -152,7 +186,7 @@ func UnwrapUDP(datagram []byte) (src ipv6.Addr, p Packet, err error) {
 	if uh.DstPort != Port {
 		return src, p, fmt.Errorf("ripng: UDP port %d, want %d", uh.DstPort, Port)
 	}
-	pkt, err := Parse(payload)
+	pkt, err := parseAppend(payload, rtes)
 	if err != nil {
 		return src, p, err
 	}

@@ -267,6 +267,63 @@ func TestSpecificRequest(t *testing.T) {
 	}
 }
 
+// A specific-prefix request answer is a response like any other: more
+// than MaxRTEsPerPacket entries are split across packets (RFC 2080
+// §2.1), with the metrics in request order.
+func TestSpecificRequestSplitAtMTU(t *testing.T) {
+	e := newTestEngine(t, 1)
+	const n = MaxRTEsPerPacket + 5
+	prefix := func(i int) bits.Prefix {
+		return bits.MakePrefix(bits.FromWords(0x20010000+uint32(i), 0, 0, 0), 32)
+	}
+	for i := 0; i < n; i += 2 {
+		if err := e.AddDirect(prefix(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Ask in descending prefix order: the answer must keep it.
+	req := Packet{Command: CommandRequest}
+	for i := n - 1; i >= 0; i-- {
+		req.RTEs = append(req.RTEs, RTE{Prefix: prefix(i), Metric: 1})
+	}
+	if err := e.Receive(0, ll(42), req); err != nil {
+		t.Fatal(err)
+	}
+	out := e.Collect()
+	if len(out) != 2 || len(out[0].Pkt.RTEs) != MaxRTEsPerPacket || len(out[1].Pkt.RTEs) != 5 {
+		sizes := make([]int, len(out))
+		for i, op := range out {
+			sizes[i] = len(op.Pkt.RTEs)
+		}
+		t.Fatalf("response packet sizes = %v, want [%d 5]", sizes, MaxRTEsPerPacket)
+	}
+	k := 0
+	for _, op := range out {
+		if op.Dst != ll(42) || op.Pkt.Command != CommandResponse {
+			t.Errorf("response to %s command %d", ipv6.FormatAddr(op.Dst), op.Pkt.Command)
+		}
+		for _, rte := range op.Pkt.RTEs {
+			i := n - 1 - k
+			want := uint8(Infinity)
+			if i%2 == 0 {
+				want = 1
+			}
+			if rte.Prefix != prefix(i) || rte.Metric != want {
+				t.Errorf("entry %d = %s metric %d, want %s metric %d",
+					k, ipv6.FormatPrefix(rte.Prefix), rte.Metric, ipv6.FormatPrefix(prefix(i)), want)
+			}
+			k++
+		}
+	}
+	// The packets belong to the caller: growing one must not write into
+	// the next one's entries.
+	first := out[1].Pkt.RTEs[0]
+	_ = append(out[0].Pkt.RTEs, RTE{})
+	if out[1].Pkt.RTEs[0] != first {
+		t.Error("appending to one response packet overwrote the next")
+	}
+}
+
 func TestTimeoutPoisonsAndGCDeletes(t *testing.T) {
 	e := newTestEngine(t, 1)
 	e.SetTimers(30, 180, 120)
