@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race slow soak topo-soak fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo bench bench-json bench-guard snapshot vet
+.PHONY: all build test race slow soak topo-soak fuzz fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo fuzz-ripng bench bench-json bench-guard snapshot vet
 
 all: build test
 
@@ -65,7 +65,7 @@ topo-soak:
 # Short differential fuzz bursts (one -fuzz pattern per go test
 # invocation); extend FUZZTIME for longer campaigns.
 FUZZTIME ?= 30s
-fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo
+fuzz: fuzz-router fuzz-lpm fuzz-faults fuzz-compiled fuzz-topo fuzz-ripng
 
 # Golden router vs TACO processor on generated datagrams.
 fuzz-router:
@@ -94,6 +94,13 @@ fuzz-compiled:
 # clean sweep and conserved accounting.
 fuzz-topo:
 	$(GO) test ./internal/net -run xxx -fuzz FuzzTopologyEvents -fuzztime $(FUZZTIME)
+
+# Arbitrary bytes into the RIPng wire decoder: Parse never panics,
+# parsed packets round-trip through Marshal, the caller-owned decode
+# agrees with Parse, and the single-buffer WrapUDP matches the composed
+# BuildDatagram(MarshalUDP(Marshal)) path byte for byte.
+fuzz-ripng:
+	$(GO) test ./internal/ripng -run xxx -fuzz FuzzRIPngParse -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem
