@@ -1,8 +1,9 @@
 package bits
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Prefix is a 128-bit address prefix: the top Len bits of Addr are
@@ -71,33 +72,52 @@ type RangeOwner struct {
 // used by the balanced-tree routing table: a longest-prefix match over
 // the prefixes becomes a point location over the ranges.
 //
-// Prefix address sets form a laminar family — any two prefixes are
-// either disjoint or nested — so a single O(n log n) sweep with a
-// nesting stack suffices.
+// DisjointRanges sorts an index over prefixes and runs the sweep of
+// AppendDisjointRanges on the sorted order; a caller that already keeps
+// its prefixes sorted calls AppendDisjointRanges directly.
 func DisjointRanges(prefixes []Prefix) []RangeOwner {
-	n := len(prefixes)
-	if n == 0 {
-		return nil
-	}
-	idx := make([]int, n)
+	idx := make([]int, len(prefixes))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := prefixes[idx[a]], prefixes[idx[b]]
-		if c := pa.Addr.Cmp(pb.Addr); c != 0 {
-			return c < 0
-		}
-		return pa.Len < pb.Len // outer (shorter) before inner
-	})
+	slices.SortStableFunc(idx, func(a, b int) int { return ComparePrefix(prefixes[a], prefixes[b]) })
+	sorted := make([]Prefix, len(prefixes))
+	for i, id := range idx {
+		sorted[i] = prefixes[id]
+	}
+	out := AppendDisjointRanges(nil, sorted)
+	for i := range out {
+		out[i].Owner = idx[out[i].Owner]
+	}
+	return out
+}
 
+// ComparePrefix orders prefixes by base address, then outer (shorter)
+// before inner: the order AppendDisjointRanges sweeps in.
+func ComparePrefix(p, q Prefix) int {
+	if c := p.Addr.Cmp(q.Addr); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.Len, q.Len)
+}
+
+// AppendDisjointRanges appends the disjoint ranges induced by sorted —
+// canonical prefixes in ComparePrefix order — to dst and returns the
+// extended slice. Owners index into sorted.
+//
+// Prefix address sets form a laminar family — any two prefixes are
+// either disjoint or nested — so a single O(n) sweep with a nesting
+// stack suffices. Distinct prefixes nest at most 129 deep (/0 … /128),
+// so the stack lives in a fixed array and the sweep allocates only when
+// dst must grow.
+func AppendDisjointRanges(dst []RangeOwner, sorted []Prefix) []RangeOwner {
 	type active struct {
 		owner int
 		last  Word128
 	}
 	var (
-		stack     []active
-		out       []RangeOwner
+		buf       [129]active
+		stack     = buf[:0]
 		pos       Word128 // next address not yet assigned to a range
 		posSet    bool
 		saturated bool // pos has run past Max128
@@ -106,11 +126,11 @@ func DisjointRanges(prefixes []Prefix) []RangeOwner {
 		if to.Less(from) {
 			return
 		}
-		out = append(out, RangeOwner{Range: Range{First: from, Last: to}, Owner: owner})
+		dst = append(dst, RangeOwner{Range: Range{First: from, Last: to}, Owner: owner})
 	}
 	// segStart returns where the next segment of an active prefix begins.
 	segStart := func(a active) Word128 {
-		start := prefixes[a.owner].First()
+		start := sorted[a.owner].First()
 		if posSet && start.Less(pos) {
 			start = pos
 		}
@@ -125,8 +145,7 @@ func DisjointRanges(prefixes []Prefix) []RangeOwner {
 		posSet = true
 	}
 
-	for _, id := range idx {
-		p := prefixes[id]
+	for id, p := range sorted {
 		first, last := p.First(), p.Last()
 		// Close every active prefix that ends before this one starts.
 		for len(stack) > 0 {
@@ -160,5 +179,5 @@ func DisjointRanges(prefixes []Prefix) []RangeOwner {
 		}
 		bump(top.last)
 	}
-	return out
+	return dst
 }

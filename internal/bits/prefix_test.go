@@ -2,6 +2,7 @@ package bits
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -179,6 +180,46 @@ func TestDisjointRangesAgainstLinearScan(t *testing.T) {
 			if !ranges[i-1].Range.Last.Less(ranges[i].Range.First) {
 				t.Fatalf("ranges overlap or unsorted: %v then %v",
 					ranges[i-1].Range, ranges[i].Range)
+			}
+		}
+	}
+}
+
+// TestAppendDisjointRangesMatchesDisjointRanges checks the sorted-input
+// sweep against DisjointRanges over a shuffled copy of the same set: the
+// appended ranges equal, owners name the same prefixes, and what dst
+// already held is kept.
+func TestAppendDisjointRangesMatchesDisjointRanges(t *testing.T) {
+	if got := AppendDisjointRanges(nil, nil); got != nil {
+		t.Errorf("AppendDisjointRanges(nil, nil) = %v", got)
+	}
+	rng := rand.New(rand.NewSource(11))
+	head := []RangeOwner{{Range: Range{First: Max128, Last: Max128}, Owner: -7}}
+	for trial := 0; trial < 50; trial++ {
+		seen := map[Prefix]bool{}
+		var sorted []Prefix
+		for i, n := 0, 1+rng.Intn(40); i < n; i++ {
+			p := MakePrefix(randWord(rng), []int{0, 8, 16, 17, 64, 127, 128}[rng.Intn(7)])
+			if !seen[p] {
+				seen[p] = true
+				sorted = append(sorted, p)
+			}
+		}
+		slices.SortFunc(sorted, ComparePrefix)
+		shuffled := slices.Clone(sorted)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+		want := DisjointRanges(shuffled)
+		got := AppendDisjointRanges(slices.Clone(head), sorted)
+		if len(got) != len(head)+len(want) || got[0] != head[0] {
+			t.Fatalf("trial %d: appended %d ranges after %v, want %d after %v",
+				trial, len(got)-len(head), got[:1], len(want), head)
+		}
+		for i, w := range want {
+			g := got[len(head)+i]
+			if g.Range != w.Range || sorted[g.Owner] != shuffled[w.Owner] {
+				t.Fatalf("trial %d range %d: got %v owned by %v, want %v owned by %v",
+					trial, i, g.Range, sorted[g.Owner], w.Range, shuffled[w.Owner])
 			}
 		}
 	}

@@ -1,6 +1,6 @@
-// Host-speed lookup benchmarks across the kind × size grid of the
-// scaling study: BenchmarkLookup/{kind}/{size} for 1k, 100k and 1M
-// routes. These are software-table numbers (the probe-count side of the
+// Host-speed benchmarks across the kind × size grid of the scaling
+// study: BenchmarkLookup/{kind}/{size} for 1k, 100k and 1M routes, and
+// BenchmarkBuild and BenchmarkUpdate for 1k and 100k. These are software-table numbers (the probe-count side of the
 // scaled cycle model), not TACO cycle counts — the cycle side is locked
 // by the root package's bench_snapshot guard.
 package rtable_test
@@ -91,6 +91,48 @@ func BenchmarkBuild(b *testing.B) {
 					tbl := rtable.New(kind)
 					if err := rtable.InsertAll(tbl, routes); err != nil {
 						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkUpdate measures one control-plane update on an installed
+// table: each op inserts a /128 absent from the table and deletes it
+// again, so the table is the same before and after every op.
+func BenchmarkUpdate(b *testing.B) {
+	for _, size := range []int{1000, 100000} {
+		for _, kind := range rtable.Kinds {
+			kind, size := kind, size
+			b.Run(fmt.Sprintf("%s/%d", kind, size), func(b *testing.B) {
+				if kind == rtable.CAM && size >= rtable.DefaultCAMConfig().Capacity {
+					b.Skipf("CAM capacity is %d entries", rtable.DefaultCAMConfig().Capacity)
+				}
+				routes, dests := benchWorkloadFor(b, size)
+				tbl := rtable.New(kind)
+				if err := rtable.InsertAll(tbl, routes); err != nil {
+					b.Fatal(err)
+				}
+				installed := make(map[bits.Prefix]bool, len(routes))
+				for _, r := range tbl.Routes() {
+					installed[r.Prefix] = true
+				}
+				var adds []rtable.Route
+				for _, d := range dests {
+					if p := bits.MakePrefix(d, 128); !installed[p] {
+						adds = append(adds, rtable.Route{Prefix: p, Iface: 1, Metric: 1})
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r := adds[i%len(adds)]
+					if err := tbl.Insert(r); err != nil {
+						b.Fatal(err)
+					}
+					if !tbl.Delete(r.Prefix) {
+						b.Fatalf("delete of %v failed", r.Prefix)
 					}
 				}
 			})

@@ -2,7 +2,7 @@ package rtable
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"taco/internal/bits"
 )
@@ -69,14 +69,9 @@ func (t *CAMTable) Insert(r Route) error {
 		return fmt.Errorf("rtable: CAM full (%d entries)", t.cfg.Capacity)
 	}
 	t.entries = append(t.entries, r)
-	// Priority order: longest prefix first; stable on value for
+	// Priority order: longest prefix first, then by value for
 	// determinism.
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		if t.entries[i].Prefix.Len != t.entries[j].Prefix.Len {
-			return t.entries[i].Prefix.Len > t.entries[j].Prefix.Len
-		}
-		return t.entries[i].Prefix.Addr.Less(t.entries[j].Prefix.Addr)
-	})
+	slices.SortFunc(t.entries, comparePriority)
 	return nil
 }
 
@@ -100,12 +95,7 @@ func (t *CAMTable) InsertAll(rs []Route) error {
 		idx[r.Prefix] = len(t.entries)
 		t.entries = append(t.entries, r)
 	}
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		if t.entries[i].Prefix.Len != t.entries[j].Prefix.Len {
-			return t.entries[i].Prefix.Len > t.entries[j].Prefix.Len
-		}
-		return t.entries[i].Prefix.Addr.Less(t.entries[j].Prefix.Addr)
-	})
+	slices.SortFunc(t.entries, comparePriority)
 	return nil
 }
 

@@ -9,7 +9,9 @@
 package rtable
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -233,24 +235,23 @@ type MemSizer interface {
 	MemDims() MemDims
 }
 
-// routesOf copies and sorts routes for deterministic listings.
+// sortRoutes sorts routes in place into the deterministic listing order
+// Routes returns: bits.ComparePrefix order of their prefixes.
 func sortRoutes(rs []Route) {
-	sort.Slice(rs, func(i, j int) bool {
-		if c := rs[i].Prefix.Addr.Cmp(rs[j].Prefix.Addr); c != 0 {
-			return c < 0
-		}
-		return rs[i].Prefix.Len < rs[j].Prefix.Len
-	})
+	slices.SortFunc(rs, func(a, b Route) int { return bits.ComparePrefix(a.Prefix, b.Prefix) })
 }
 
 // sortNodeRoutes orders a multibit node's span routes longest prefix
 // first (addr ascending within a length) so the in-node scan returns the
 // longest match immediately.
-func sortNodeRoutes(rs []Route) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Prefix.Len != rs[j].Prefix.Len {
-			return rs[i].Prefix.Len > rs[j].Prefix.Len
-		}
-		return rs[i].Prefix.Addr.Less(rs[j].Prefix.Addr)
-	})
+func sortNodeRoutes(rs []Route) { slices.SortFunc(rs, comparePriority) }
+
+// comparePriority orders routes longest prefix first, base address
+// ascending within a length: the multibit in-node order and the CAM's
+// priority order.
+func comparePriority(a, b Route) int {
+	if c := cmp.Compare(b.Prefix.Len, a.Prefix.Len); c != 0 {
+		return c
+	}
+	return a.Prefix.Addr.Cmp(b.Prefix.Addr)
 }

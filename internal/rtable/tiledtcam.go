@@ -1,8 +1,9 @@
 package rtable
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"taco/internal/bits"
 )
@@ -258,12 +259,12 @@ func (t *TiledTCAMTable) splitToBudget(n *ttNode) {
 // wide insert walking every existing tile in its span. The stable sort
 // preserves last-wins replace semantics for duplicate prefixes.
 func (t *TiledTCAMTable) InsertAll(rs []Route) error {
-	ordered := append([]Route(nil), rs...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Prefix.Len != ordered[j].Prefix.Len {
-			return ordered[i].Prefix.Len < ordered[j].Prefix.Len
+	ordered := slices.Clone(rs)
+	slices.SortStableFunc(ordered, func(a, b Route) int {
+		if c := cmp.Compare(a.Prefix.Len, b.Prefix.Len); c != 0 {
+			return c
 		}
-		return ordered[i].Prefix.Addr.Less(ordered[j].Prefix.Addr)
+		return a.Prefix.Addr.Cmp(b.Prefix.Addr)
 	})
 	for _, r := range ordered {
 		if err := t.Insert(r); err != nil {

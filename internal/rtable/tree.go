@@ -1,6 +1,9 @@
 package rtable
 
 import (
+	"cmp"
+	"slices"
+
 	"taco/internal/bits"
 )
 
@@ -23,23 +26,32 @@ type TreeNode struct {
 // set (binary search on ranges, Lampson/Srinivasan/Varghese 1998): each
 // range is owned by the longest covering prefix, ranges partition the
 // matched address space, and a lookup is a pure root-to-leaf walk. The
-// price is paid on update — inserting or deleting one prefix re-splits
-// the affected ranges, which is why routing-table updates are expensive
-// in this organisation (the paper notes updates are rare: once the
-// topology stabilises RIPng updates arrive on the order of minutes).
+// tree is a perfectly balanced BST laid out over the sorted ranges, so
+// its shape depends only on the range set. The price is paid on update:
+// inserting or deleting one prefix splices the sorted route list, then
+// re-sweeps every range and lays the whole tree out again — O(n) per
+// update, which is why routing-table updates are expensive in this
+// organisation (the paper notes updates are rare: once the topology
+// stabilises RIPng updates arrive on the order of minutes).
 type BalancedTreeTable struct {
-	routes map[bits.Prefix]Route
+	// routes holds one route per prefix in bits.ComparePrefix order, the
+	// order the range sweep consumes.
+	routes []Route
 	nodes  []TreeNode
 	root   int
 	stats  Stats
 	// gen counts rebuilds, letting the routing-table unit cache a
 	// lowered copy of the node array and invalidate it on table updates.
 	gen uint64
+	// prefixes and ranges are rebuild scratch, kept so a steady-state
+	// update allocates nothing.
+	prefixes []bits.Prefix
+	ranges   []bits.RangeOwner
 }
 
 // NewBalancedTree returns an empty balanced-tree table.
 func NewBalancedTree() *BalancedTreeTable {
-	return &BalancedTreeTable{routes: make(map[bits.Prefix]Route), root: -1}
+	return &BalancedTreeTable{root: -1}
 }
 
 // Kind implements Table.
@@ -49,7 +61,11 @@ func (t *BalancedTreeTable) Kind() Kind { return BalancedTree }
 // tree (the complex update of the paper's discussion).
 func (t *BalancedTreeTable) Insert(r Route) error {
 	r.Prefix = bits.MakePrefix(r.Prefix.Addr, r.Prefix.Len)
-	t.routes[r.Prefix] = r
+	if i, ok := t.search(r.Prefix); ok {
+		t.routes[i] = r
+	} else {
+		t.routes = slices.Insert(t.routes, i, r)
+	}
 	t.rebuild()
 	return nil
 }
@@ -57,58 +73,96 @@ func (t *BalancedTreeTable) Insert(r Route) error {
 // InsertAll adds or replaces a batch of routes with a single rebuild —
 // the bulk-load path for large tables (the per-insert rebuild is the
 // "complex update" the paper discusses; amortising it is how a real
-// control plane would apply a full RIPng table transfer).
+// control plane would apply a full RIPng table transfer). The batch is
+// sorted once and merged into the installed routes; when a prefix
+// repeats, the later route wins.
 func (t *BalancedTreeTable) InsertAll(rs []Route) error {
-	for _, r := range rs {
-		r.Prefix = bits.MakePrefix(r.Prefix.Addr, r.Prefix.Len)
-		t.routes[r.Prefix] = r
+	// Sort positions into the batch by canonical prefix, ties by
+	// position, so the last of a repeated prefix sorts last.
+	ps := slices.Grow(t.prefixes[:0], len(rs))
+	order := make([]int, len(rs))
+	for i, r := range rs {
+		ps = append(ps, bits.MakePrefix(r.Prefix.Addr, r.Prefix.Len))
+		order[i] = i
 	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := bits.ComparePrefix(ps[a], ps[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	merged := make([]Route, 0, len(t.routes)+len(rs))
+	old := t.routes
+	for j, i := range order {
+		p := ps[i]
+		if j+1 < len(order) && ps[order[j+1]] == p {
+			continue // a later route for the same prefix wins
+		}
+		for len(old) > 0 && bits.ComparePrefix(old[0].Prefix, p) < 0 {
+			merged = append(merged, old[0])
+			old = old[1:]
+		}
+		if len(old) > 0 && old[0].Prefix == p {
+			old = old[1:] // replaced
+		}
+		r := rs[i]
+		r.Prefix = p
+		merged = append(merged, r)
+	}
+	t.routes = append(merged, old...)
+	t.prefixes = ps
 	t.rebuild()
 	return nil
 }
 
 // Delete removes the route for p and rebuilds the range tree.
 func (t *BalancedTreeTable) Delete(p bits.Prefix) bool {
-	p = bits.MakePrefix(p.Addr, p.Len)
-	if _, ok := t.routes[p]; !ok {
+	i, ok := t.search(bits.MakePrefix(p.Addr, p.Len))
+	if !ok {
 		return false
 	}
-	delete(t.routes, p)
+	t.routes = slices.Delete(t.routes, i, i+1)
 	t.rebuild()
 	return true
 }
 
-func (t *BalancedTreeTable) rebuild() {
-	t.gen++
-	rs := t.Routes() // deterministic order so Owner indices are stable
-	prefixes := make([]bits.Prefix, len(rs))
-	for i, r := range rs {
-		prefixes[i] = r.Prefix
-	}
-	ranges := bits.DisjointRanges(prefixes)
-	t.nodes = make([]TreeNode, 0, len(ranges))
-	t.root = t.build(ranges, rs)
+// search returns the position of p in t.routes, or where it would be
+// inserted, and whether it is present.
+func (t *BalancedTreeTable) search(p bits.Prefix) (int, bool) {
+	return slices.BinarySearchFunc(t.routes, p, func(r Route, p bits.Prefix) int {
+		return bits.ComparePrefix(r.Prefix, p)
+	})
 }
 
-// build constructs a perfectly balanced BST over the sorted disjoint
-// ranges, returning the root's index into t.nodes.
-func (t *BalancedTreeTable) build(ranges []bits.RangeOwner, rs []Route) int {
+// rebuild re-sweeps the sorted prefixes into disjoint ranges and lays
+// the balanced tree out over them, reusing the table's buffers.
+func (t *BalancedTreeTable) rebuild() {
+	t.gen++
+	t.prefixes = t.prefixes[:0]
+	for i := range t.routes {
+		t.prefixes = append(t.prefixes, t.routes[i].Prefix)
+	}
+	t.ranges = bits.AppendDisjointRanges(t.ranges[:0], t.prefixes)
+	t.nodes = slices.Grow(t.nodes[:0], len(t.ranges))[:len(t.ranges)]
+	t.root = t.layout(t.ranges, 0)
+}
+
+// layout writes the perfectly balanced BST over the sorted disjoint
+// ranges into t.nodes in preorder, starting at index at, and returns the
+// subtree's root index (-1 when ranges is empty). The left subtree of a
+// node holds len(ranges)/2 nodes, so the right subtree starts just past
+// it.
+func (t *BalancedTreeTable) layout(ranges []bits.RangeOwner, at int) int {
 	if len(ranges) == 0 {
 		return -1
 	}
 	mid := len(ranges) / 2
-	idx := len(t.nodes)
-	t.nodes = append(t.nodes, TreeNode{}) // reserve
-	left := t.build(ranges[:mid], rs)
-	right := t.build(ranges[mid+1:], rs)
-	t.nodes[idx] = TreeNode{
-		First: ranges[mid].Range.First,
-		Last:  ranges[mid].Range.Last,
-		Left:  left,
-		Right: right,
-		Route: rs[ranges[mid].Owner],
-	}
-	return idx
+	n := &t.nodes[at]
+	n.First, n.Last = ranges[mid].Range.First, ranges[mid].Range.Last
+	n.Left = t.layout(ranges[:mid], at+1)
+	n.Right = t.layout(ranges[mid+1:], at+1+mid)
+	n.Route = t.routes[ranges[mid].Owner]
+	return at
 }
 
 // Lookup walks the tree from the root: left when addr precedes the
@@ -135,18 +189,15 @@ func (t *BalancedTreeTable) Lookup(addr bits.Word128) (Route, bool) {
 // Len returns the number of installed prefixes (not tree nodes).
 func (t *BalancedTreeTable) Len() int { return len(t.routes) }
 
-// Routes returns the installed routes in deterministic order.
+// Routes returns a copy of the installed routes in deterministic order.
 func (t *BalancedTreeTable) Routes() []Route {
-	out := make([]Route, 0, len(t.routes))
-	for _, r := range t.routes {
-		out = append(out, r)
-	}
-	sortRoutes(out)
-	return out
+	return append(make([]Route, 0, len(t.routes)), t.routes...)
 }
 
 // Nodes exposes the flattened node array (the hardware view used by the
-// TACO routing-table unit) and the root index.
+// TACO routing-table unit) and the root index. The table reuses the
+// array: the slice is valid only until the next Insert, InsertAll or
+// Delete.
 func (t *BalancedTreeTable) Nodes() ([]TreeNode, int) { return t.nodes, t.root }
 
 // NodeAt returns node i, or false when i is out of range — the
