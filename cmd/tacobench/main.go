@@ -18,6 +18,8 @@
 //
 //	tacobench [-runs 5] [-packets 32] [-entries 100] [-o BENCH_0008.json]
 //	tacobench -guard-overhead 1.3 -guard-recorder 1.6 -o -
+//
+// -cpuprofile/-memprofile write pprof profiles of the measurement.
 package main
 
 import (
@@ -104,20 +106,34 @@ func main() {
 		guardRec = flag.Float64("guard-recorder", 0,
 			"fail when aggregate compiled-with-recorder time exceeds this multiple of compiled-bare (0 disables)")
 	)
+	var prof cliutil.Profiling
+	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	stop, err := prof.Start()
+	if err == nil {
+		err = run(*runs, *packets, *entries, *out, *guard, *guardRec)
+	}
+	stop()
+	if err != nil {
+		cliutil.Fatal("tacobench", err)
+	}
+}
 
-	rep := benchReport{Benchmark: "table1-compiled-vs-interpreted-obs-recorder", Runs: *runs}
-	rep.Workload.Packets = *packets
-	rep.Workload.Entries = *entries
+// run measures the nine cells, writes the record to out and applies the
+// overhead guards.
+func run(runs, packets, entries int, out string, guard, guardRec float64) error {
+	rep := benchReport{Benchmark: "table1-compiled-vs-interpreted-obs-recorder", Runs: runs}
+	rep.Workload.Packets = packets
+	rep.Workload.Entries = entries
 	rep.Workload.Ifaces = 4
 	rep.Workload.Seed = 2003
 
 	var sumInterp, sumCompiled, sumObs, sumRec int64
 	for _, kind := range []rtable.Kind{rtable.Sequential, rtable.BalancedTree, rtable.CAM} {
 		for _, cfg := range fu.PaperConfigs(kind) {
-			rec, err := measureCell(kind, cfg, *entries, *packets, *runs)
+			rec, err := measureCell(kind, cfg, entries, packets, runs)
 			if err != nil {
-				cliutil.Fatal("tacobench", fmt.Errorf("%v/%s: %w", kind, cfg.Name, err))
+				return fmt.Errorf("%v/%s: %w", kind, cfg.Name, err)
 			}
 			fmt.Fprintf(os.Stderr, "tacobench: %-13v %-16s %9d ns/op interpreted, %9d ns/op compiled, %9d ns/op compiled+obs, %9d ns/op compiled+rec, %.2fx, obs %.2fx, rec %.2fx\n",
 				kind, cfg.Name, rec.InterpretedNsOp, rec.CompiledNsOp, rec.CompiledObsNsOp,
@@ -135,28 +151,33 @@ func main() {
 	fmt.Fprintf(os.Stderr, "tacobench: aggregate Table 1 speedup %.2fx, counter overhead %.2fx, recorder overhead %.2fx\n",
 		rep.AggregateSpeedup, rep.AggregateCounterOverhead, rep.AggregateRecorderOverhead)
 
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			cliutil.Fatal("tacobench", err)
-		}
-		defer f.Close()
-		w = f
+	if err := writeReport(out, rep); err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		cliutil.Fatal("tacobench", err)
+	if guard > 0 && rep.AggregateCounterOverhead > guard {
+		return fmt.Errorf("counter overhead %.2fx exceeds the %.2fx guard",
+			rep.AggregateCounterOverhead, guard)
 	}
-	if *guard > 0 && rep.AggregateCounterOverhead > *guard {
-		cliutil.Fatal("tacobench", fmt.Errorf("counter overhead %.2fx exceeds the %.2fx guard",
-			rep.AggregateCounterOverhead, *guard))
+	if guardRec > 0 && rep.AggregateRecorderOverhead > guardRec {
+		return fmt.Errorf("recorder overhead %.2fx exceeds the %.2fx guard",
+			rep.AggregateRecorderOverhead, guardRec)
 	}
-	if *guardRec > 0 && rep.AggregateRecorderOverhead > *guardRec {
-		cliutil.Fatal("tacobench", fmt.Errorf("recorder overhead %.2fx exceeds the %.2fx guard",
-			rep.AggregateRecorderOverhead, *guardRec))
+	return nil
+}
+
+// writeReport writes the record as indented JSON to path, or to stdout
+// when path is "-".
+func writeReport(path string, rep benchReport) error {
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
 	}
+	b = append(b, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(b)
+		return err
+	}
+	return os.WriteFile(path, b, 0o644)
 }
 
 // measureCell benchmarks one cell on all four paths and checks the

@@ -18,7 +18,8 @@
 //
 // Exit status is 0 when the bundle's failure reproduces (and, under
 // -diff, both paths agree), non-zero otherwise — so CI can assert that
-// a committed repro corpus still reproduces.
+// a committed repro corpus still reproduces. -cpuprofile/-memprofile
+// write pprof profiles of the replay.
 package main
 
 import (
@@ -41,16 +42,30 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event (Perfetto) file of the replay")
 		path       = flag.String("path", "", "step path override: interpreted | compiled (default: as recorded)")
 	)
+	var prof cliutil.Profiling
+	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *bundlePath == "" {
 		flag.Usage()
-		os.Exit(2)
+		os.Exit(2) // profiling has not started: nothing to stop
 	}
-	b, err := forensics.Load(*bundlePath)
+	stop, err := prof.Start()
+	if err == nil {
+		err = replay(*bundlePath, *step, *untilCycle, *diff, *tail, *traceOut, *path)
+	}
+	stop()
 	if err != nil {
 		cliutil.Fatal("tacoreplay", err)
 	}
-	fmt.Printf("bundle: %s (version %d, kind %s", *bundlePath, b.Version, b.Kind)
+}
+
+// replay loads the bundle and runs the selected mode.
+func replay(bundlePath string, step bool, untilCycle int64, diff, tail bool, traceOut, path string) error {
+	b, err := forensics.Load(bundlePath)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("bundle: %s (version %d, kind %s", bundlePath, b.Version, b.Kind)
 	if b.Label != "" {
 		fmt.Printf(", %s", b.Label)
 	}
@@ -62,24 +77,24 @@ func main() {
 		fmt.Printf("  recorded failure: %s\n", b.Err)
 	}
 
-	if *tail {
+	if tail {
 		printTail(b)
-		return
+		return nil
 	}
 
 	opts := forensics.ReplayOptions{}
-	switch *path {
+	switch path {
 	case "":
 	case "interpreted", "compiled":
-		c := *path == "compiled"
+		c := path == "compiled"
 		opts.Path = &c
 	default:
-		cliutil.Fatal("tacoreplay", fmt.Errorf("unknown -path %q (want interpreted or compiled)", *path))
+		return fmt.Errorf("unknown -path %q (want interpreted or compiled)", path)
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if traceOut != "" {
+		f, err := os.Create(traceOut)
 		if err != nil {
-			cliutil.Fatal("tacoreplay", err)
+			return err
 		}
 		tw := obs.NewTraceWriter(f)
 		opts.Trace = tw
@@ -91,30 +106,27 @@ func main() {
 		}()
 	}
 
-	if *diff {
-		if err := runDiff(b, opts); err != nil {
-			cliutil.Fatal("tacoreplay", err)
-		}
-		return
+	if diff {
+		return runDiff(b, opts)
 	}
-	if *step || *untilCycle >= 0 {
-		runStep(b, opts, *untilCycle, *step)
-		return
+	if step || untilCycle >= 0 {
+		return runStep(b, opts, untilCycle, step)
 	}
-	runVerify(b, opts)
+	return runVerify(b, opts)
 }
 
 // runVerify replays once and asserts the recorded failure reproduces.
-func runVerify(b *forensics.Bundle, opts forensics.ReplayOptions) {
+func runVerify(b *forensics.Bundle, opts forensics.ReplayOptions) error {
 	res, err := forensics.Replay(b, opts)
 	if err != nil {
-		cliutil.Fatal("tacoreplay", err)
+		return err
 	}
 	printOutcome(res)
 	if err := forensics.CheckReproduction(b, res); err != nil {
-		cliutil.Fatal("tacoreplay", fmt.Errorf("NOT reproduced: %w", err))
+		return fmt.Errorf("NOT reproduced: %w", err)
 	}
 	fmt.Println("reproduction: OK — replay matches the bundle's recorded failure")
+	return nil
 }
 
 // runDiff replays on both step paths with a ring large enough to retain
@@ -163,7 +175,7 @@ func runDiff(b *forensics.Bundle, opts forensics.ReplayOptions) error {
 
 // runStep replays cycle by cycle, printing recorded events (with -step)
 // until completion or the -until-cycle pause point.
-func runStep(b *forensics.Bundle, opts forensics.ReplayOptions, until int64, print bool) {
+func runStep(b *forensics.Bundle, opts forensics.ReplayOptions, until int64, print bool) error {
 	names := b.SocketNames
 	res, err := forensics.ReplayStep(b, opts, until, func(cycle int64, evs []obs.RecEvent) {
 		if !print {
@@ -178,7 +190,7 @@ func runStep(b *forensics.Bundle, opts forensics.ReplayOptions, until int64, pri
 		}
 	})
 	if err != nil {
-		cliutil.Fatal("tacoreplay", err)
+		return err
 	}
 	printOutcome(res)
 	if len(res.Sockets) > 0 {
@@ -187,6 +199,7 @@ func runStep(b *forensics.Bundle, opts forensics.ReplayOptions, until int64, pri
 			fmt.Printf("  %-16s %-8s 0x%08x\n", s.Name, s.Kind, s.Value)
 		}
 	}
+	return nil
 }
 
 func printTail(b *forensics.Bundle) {

@@ -17,7 +17,8 @@
 // a replayable forensics.Bundle (tacoreplay) for every stall,
 // differential divergence, or invariant violation.
 //
-// Exit status: 0 when the run passed, 1 when any invariant failed.
+// Exit status: 0 when the run passed, 1 when any invariant failed, 2 on
+// a usage or I/O error. -cpuprofile/-memprofile write pprof profiles.
 package main
 
 import (
@@ -27,11 +28,18 @@ import (
 	"strconv"
 	"strings"
 
+	"taco/internal/cliutil"
 	tnet "taco/internal/net"
 	"taco/internal/rtable"
 )
 
 func main() {
+	os.Exit(run())
+}
+
+// run is the whole command; it returns the exit status so the profiles
+// are written before the process exits.
+func run() int {
 	var (
 		topoKind = flag.String("topo", "fattree", "topology kind: "+strings.Join(tnet.TopologyKinds, "|"))
 		size     = flag.Int("size", 8, "topology size (node count; arity k for fattree)")
@@ -54,7 +62,14 @@ func main() {
 		csvPath  = flag.String("csv", "", "also write the report as CSV to this file")
 		jsonPath = flag.String("json", "", "also write the report as JSON to this file")
 	)
+	var prof cliutil.Profiling
+	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	stop, err := prof.Start()
+	defer stop()
+	if err != nil {
+		return fail(err)
+	}
 
 	opt := tnet.Options{
 		Mix:          *mix,
@@ -65,7 +80,7 @@ func main() {
 	}
 	kind, err := rtable.KindByName(*table)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	opt.Table = kind
 
@@ -74,38 +89,41 @@ func main() {
 		for _, s := range strings.Split(*sizes, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
-				fatal(fmt.Errorf("bad -sizes entry %q: %w", s, err))
+				return fail(fmt.Errorf("bad -sizes entry %q: %w", s, err))
 			}
 			sz = append(sz, v)
 		}
 		pts, err := tnet.ConvergenceCurve(*topoKind, sz, opt)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := tnet.WriteCurvesText(os.Stdout, pts); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		writeFile(*csvPath, func(f *os.File) error { return tnet.WriteCurvesCSV(f, pts) })
-		writeFile(*jsonPath, func(f *os.File) error { return tnet.WriteCurvesJSON(f, pts) })
+		if err := writeFile(*csvPath, func(f *os.File) error { return tnet.WriteCurvesCSV(f, pts) }); err != nil {
+			return fail(err)
+		}
+		if err := writeFile(*jsonPath, func(f *os.File) error { return tnet.WriteCurvesJSON(f, pts) }); err != nil {
+			return fail(err)
+		}
 		for _, p := range pts {
 			if !p.Converged {
-				os.Exit(1)
+				return 1
 			}
 		}
-		return
+		return 0
 	}
 
 	if !*campaign {
-		fmt.Fprintln(os.Stderr, "nothing to do: pass -campaign or -sizes (see -h)")
-		os.Exit(2)
+		return fail(fmt.Errorf("nothing to do: pass -campaign or -sizes (see -h)"))
 	}
 	topo, err := tnet.Generate(*topoKind, *size, *seed)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	m, err := tnet.NewMesh(topo, opt)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	rep := tnet.RunCampaign(m, tnet.CampaignOptions{
 		Flaps:           *flaps,
@@ -115,32 +133,38 @@ func main() {
 		InjectViolation: *inject,
 	})
 	if err := rep.WriteText(os.Stdout); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	writeFile(*csvPath, func(f *os.File) error { return rep.WriteCSV(f) })
-	writeFile(*jsonPath, func(f *os.File) error { return rep.WriteJSON(f) })
+	if err := writeFile(*csvPath, func(f *os.File) error { return rep.WriteCSV(f) }); err != nil {
+		return fail(err)
+	}
+	if err := writeFile(*jsonPath, func(f *os.File) error { return rep.WriteJSON(f) }); err != nil {
+		return fail(err)
+	}
 	if rep.Verdict != "PASS" {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func writeFile(path string, write func(*os.File) error) {
+// writeFile writes one report file; an empty path writes nothing.
+func writeFile(path string, write func(*os.File) error) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := write(f); err != nil {
-		fatal(err)
+		f.Close()
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+	return f.Close()
 }
 
-func fatal(err error) {
+// fail reports err and returns the usage/I-O exit status.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "tacotopo:", err)
-	os.Exit(2)
+	return 2
 }

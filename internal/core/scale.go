@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"taco/internal/bits"
 	"taco/internal/estimate"
 	"taco/internal/fu"
 	"taco/internal/program"
@@ -70,17 +71,37 @@ type ScaleModel struct {
 	Modelled  bool
 }
 
-// EvaluateScaled runs the scaling methodology for one (configuration,
-// kind, size) instance. cfg's table kind must match spec.Kind; the
-// returned Metrics carries the modelled cycles per packet, the required
-// clock, and a physical estimate that includes the table SRAM.
-func EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOptions) (Metrics, error) {
-	if cfg.Table != spec.Kind {
-		return Metrics{}, fmt.Errorf("core: config table %v does not match scale spec %v", cfg.Table, spec.Kind)
+// ScaleKey identifies the generated inputs of a scaled evaluation. It
+// holds every value the input generators read, after EvaluateScaled's
+// defaulting, so evaluations with equal keys see the same routes, churn
+// stream and destination sample whatever their kind, configuration or
+// constraints.
+type ScaleKey struct {
+	Entries       int
+	ChurnOps      int
+	SampleLookups int
+	Seed          uint64
+	Ifaces        int
+	MissRatio     float64
+}
+
+// InputKey returns the key of the inputs a scaled evaluation of spec
+// under sim generates.
+func InputKey(spec ScaleSpec, sim SimOptions) ScaleKey {
+	spec, sim = scaleDefaults(spec, sim)
+	return ScaleKey{
+		Entries:       spec.Entries,
+		ChurnOps:      spec.ChurnOps,
+		SampleLookups: spec.SampleLookups,
+		Seed:          sim.Seed,
+		Ifaces:        sim.Ifaces,
+		MissRatio:     sim.MissRatio,
 	}
-	if spec.Entries <= 0 {
-		return Metrics{}, fmt.Errorf("core: scale spec needs a positive entry count")
-	}
+}
+
+// scaleDefaults fills the zero values of a scaled evaluation's spec and
+// simulation options.
+func scaleDefaults(spec ScaleSpec, sim SimOptions) (ScaleSpec, SimOptions) {
 	if spec.AnchorEntries == ([2]int{}) {
 		spec.AnchorEntries = DefaultAnchorEntries
 	}
@@ -90,6 +111,80 @@ func EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOpti
 	if sim.Packets <= 0 {
 		sim = DefaultSimOptions()
 	}
+	return spec, sim
+}
+
+// ScaleInputs is the generated workload of a scaled evaluation: the
+// base routes, the churn stream played into the table, and the sampled
+// lookup destinations. Evaluation only reads it, so one value serves
+// any number of concurrent evaluations with its key.
+type ScaleInputs struct {
+	Key    ScaleKey
+	Routes []rtable.Route
+	Churn  []workload.ChurnOp
+	// Dests is nil when the inputs were built without a sample:
+	// analytic kinds (see Analytic) look nothing up.
+	Dests []bits.Word128
+}
+
+// NewScaleInputs generates the inputs of a scaled evaluation of spec
+// under sim. sample draws the destination sample, which only kinds
+// that are not Analytic need. A spec with no entries gets empty inputs;
+// EvaluateScaledWith rejects it.
+func NewScaleInputs(spec ScaleSpec, sim SimOptions, sample bool) *ScaleInputs {
+	key := InputKey(spec, sim)
+	in := &ScaleInputs{Key: key}
+	if key.Entries <= 0 {
+		return in
+	}
+	in.Routes = workload.GenerateLargeRoutes(workload.LargeTableSpec{
+		Entries: key.Entries,
+		Ifaces:  key.Ifaces,
+		Seed:    key.Seed,
+	})
+	if key.ChurnOps > 0 {
+		in.Churn = workload.GenerateChurn(in.Routes, workload.ChurnSpec{
+			Ops: key.ChurnOps, Seed: key.Seed, Ifaces: key.Ifaces,
+		})
+	}
+	if sample {
+		in.Dests = workload.SampleDests(in.Routes, key.SampleLookups, key.MissRatio, key.Seed)
+	}
+	return in
+}
+
+// Analytic reports whether kind's probe count at scale is known by
+// construction (a sequential scan probes every entry, a CAM searches
+// once), so its scaled evaluation builds no table and looks nothing up.
+func Analytic(kind rtable.Kind) bool {
+	return kind == rtable.Sequential || kind == rtable.CAM
+}
+
+// EvaluateScaled runs the scaling methodology for one (configuration,
+// kind, size) instance. cfg's table kind must match spec.Kind; the
+// returned Metrics carries the modelled cycles per packet, the required
+// clock, and a physical estimate that includes the table SRAM.
+func EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOptions) (Metrics, error) {
+	return EvaluateScaledWith(cfg, spec, cons, sim, NewScaleInputs(spec, sim, !Analytic(spec.Kind)))
+}
+
+// EvaluateScaledWith is EvaluateScaled on inputs built beforehand by
+// NewScaleInputs, which must carry InputKey(spec, sim) and, for a kind
+// that is not Analytic, a destination sample. It only reads in.
+func EvaluateScaledWith(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOptions, in *ScaleInputs) (Metrics, error) {
+	if cfg.Table != spec.Kind {
+		return Metrics{}, fmt.Errorf("core: config table %v does not match scale spec %v", cfg.Table, spec.Kind)
+	}
+	if spec.Entries <= 0 {
+		return Metrics{}, fmt.Errorf("core: scale spec needs a positive entry count")
+	}
+	if key := InputKey(spec, sim); in.Key != key {
+		return Metrics{}, fmt.Errorf("core: scale inputs built for %+v, spec needs %+v", in.Key, key)
+	}
+	if !Analytic(spec.Kind) && in.Dests == nil {
+		return Metrics{}, fmt.Errorf("core: scale inputs carry no destination sample for %v", spec.Kind)
+	}
+	spec, sim = scaleDefaults(spec, sim)
 
 	// 1. Cycle-accurate anchors. Kinds without a hardware RTU borrow the
 	// balanced tree's (same prolog/epilog, so the fixed overhead
@@ -130,7 +225,7 @@ func EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOpti
 	// (probes = n and 1 by construction — their software scans would be
 	// O(n·samples) for an answer we already know); tree and trie kinds
 	// are measured on the built table under a sampled workload.
-	avgProbes, dims, entries, err := measureProbes(spec, sim)
+	avgProbes, dims, entries, err := measureProbes(spec.Kind, in)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -165,25 +260,12 @@ func EvaluateScaled(cfg fu.Config, spec ScaleSpec, cons Constraints, sim SimOpti
 }
 
 // measureProbes returns the per-lookup probe count, storage dimensions
-// and live entry count of spec.Kind at the target size.
-func measureProbes(spec ScaleSpec, sim SimOptions) (float64, rtable.MemDims, int, error) {
-	routes := workload.GenerateLargeRoutes(workload.LargeTableSpec{
-		Entries: spec.Entries,
-		Ifaces:  sim.Ifaces,
-		Seed:    sim.Seed,
-	})
-	var churn []workload.ChurnOp
-	if spec.ChurnOps > 0 {
-		churn = workload.GenerateChurn(routes, workload.ChurnSpec{
-			Ops: spec.ChurnOps, Seed: sim.Seed, Ifaces: sim.Ifaces,
-		})
-	}
-
-	switch spec.Kind {
-	case rtable.Sequential, rtable.CAM:
-		// Analytic: net live entries after the churn stream.
-		entries := len(routes)
-		for _, op := range churn {
+// and live entry count of kind on the inputs.
+func measureProbes(kind rtable.Kind, in *ScaleInputs) (float64, rtable.MemDims, int, error) {
+	if Analytic(kind) {
+		// Net live entries after the churn stream.
+		entries := len(in.Routes)
+		for _, op := range in.Churn {
 			switch op.Op {
 			case workload.ChurnInsert:
 				entries++
@@ -192,23 +274,23 @@ func measureProbes(spec ScaleSpec, sim SimOptions) (float64, rtable.MemDims, int
 			}
 		}
 		probes := 1.0 // CAM: one associative search per lookup
-		if spec.Kind == rtable.Sequential {
+		if kind == rtable.Sequential {
 			probes = float64(entries) // full scan per lookup
 		}
 		return probes, rtable.MemDims{Entries: entries}, entries, nil
 	}
 
-	tbl := rtable.New(spec.Kind)
-	if err := rtable.InsertAll(tbl, routes); err != nil {
-		return 0, rtable.MemDims{}, 0, fmt.Errorf("core: build %v table: %w", spec.Kind, err)
+	tbl := rtable.New(kind)
+	if err := rtable.InsertAll(tbl, in.Routes); err != nil {
+		return 0, rtable.MemDims{}, 0, fmt.Errorf("core: build %v table: %w", kind, err)
 	}
-	if len(churn) > 0 {
-		if _, err := workload.ApplyChurn(tbl, churn); err != nil {
+	if len(in.Churn) > 0 {
+		if _, err := workload.ApplyChurn(tbl, in.Churn); err != nil {
 			return 0, rtable.MemDims{}, 0, err
 		}
 	}
 	tbl.ResetStats()
-	for _, dst := range workload.SampleDests(routes, spec.SampleLookups, sim.MissRatio, sim.Seed) {
+	for _, dst := range in.Dests {
 		tbl.Lookup(dst)
 	}
 	st := tbl.Stats()

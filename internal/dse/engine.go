@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"taco/internal/core"
@@ -19,7 +20,9 @@ import (
 // self-contained (configuration, constraints, workload) triple.
 // core.Evaluate builds the routing table, processor and traffic per call
 // and shares no mutable state between calls, so instances evaluate
-// safely on concurrent goroutines.
+// safely on concurrent goroutines. Scaled instances of one call whose
+// generated inputs are the same (equal core.InputKey) share one
+// read-only core.ScaleInputs.
 type Instance struct {
 	// X is the swept parameter's value, carried into the resulting Point.
 	X float64
@@ -40,12 +43,69 @@ type Instance struct {
 	Scale *core.ScaleSpec
 }
 
-// evalOne dispatches an instance to its evaluator.
-func evalOne(inst Instance) (core.Metrics, error) {
-	if inst.Scale != nil {
-		return core.EvaluateScaled(inst.Cfg, *inst.Scale, inst.Cons, inst.Sim)
+// inputGroup is the input set shared by the scaled instances of one
+// evaluateInstances call that have the same core.InputKey. The first
+// member to run builds it; the last to finish drops it.
+type inputGroup struct {
+	members []int // instance indices, in input order
+	sample  bool  // some member measures a table and needs destinations
+	once    sync.Once
+	in      *core.ScaleInputs
+	left    atomic.Int32 // members not yet finished
+}
+
+// planInputs groups the scaled instances by input key and returns each
+// instance's group (nil without Scale) with the dispatch order. The
+// order is the input order, except that each group's members are sent
+// back to back from its first member's place: live input sets then
+// number about one per worker, where a kind-major grid over several
+// sizes would otherwise keep every size's inputs alive all sweep.
+func planInputs(insts []Instance) (order []int, groups []*inputGroup) {
+	groups = make([]*inputGroup, len(insts))
+	byKey := make(map[core.ScaleKey]*inputGroup)
+	for i, inst := range insts {
+		if inst.Scale == nil {
+			continue
+		}
+		key := core.InputKey(*inst.Scale, inst.Sim)
+		g := byKey[key]
+		if g == nil {
+			g = &inputGroup{}
+			byKey[key] = g
+		}
+		g.members = append(g.members, i)
+		g.sample = g.sample || !core.Analytic(inst.Scale.Kind)
+		groups[i] = g
 	}
-	return core.Evaluate(inst.Cfg, inst.Cons, inst.Sim)
+	order = make([]int, 0, len(insts))
+	for i, g := range groups {
+		switch {
+		case g == nil:
+			order = append(order, i)
+		case g.members[0] == i:
+			g.left.Store(int32(len(g.members)))
+			order = append(order, g.members...)
+		}
+	}
+	return order, groups
+}
+
+// inputBuilder builds a scaled instance's inputs (core.NewScaleInputs).
+type inputBuilder func(core.ScaleSpec, core.SimOptions, bool) *core.ScaleInputs
+
+// evalOne dispatches an instance to its evaluator. A scaled instance
+// evaluates on its group's inputs, building them if it is the first
+// member to arrive and dropping them if it is the last to finish.
+func evalOne(inst Instance, g *inputGroup, build inputBuilder) (core.Metrics, error) {
+	if inst.Scale == nil {
+		return core.Evaluate(inst.Cfg, inst.Cons, inst.Sim)
+	}
+	g.once.Do(func() { g.in = build(*inst.Scale, inst.Sim, g.sample) })
+	m, err := core.EvaluateScaledWith(inst.Cfg, *inst.Scale, inst.Cons, inst.Sim, g.in)
+	if g.left.Add(-1) == 0 {
+		g.in = nil
+	}
+	return m, err
 }
 
 // ProgressReport is one live progress snapshot from the worker pool,
@@ -144,6 +204,12 @@ func ProgressPrinter(w io.Writer) func(ProgressReport) {
 // caller decides which of them matter — Explore ignores errors on
 // instances its heuristic would have pruned).
 func evaluateInstances(ctx context.Context, insts []Instance, workers int) ([]core.Metrics, []error, []time.Duration, error) {
+	return evaluateWith(ctx, insts, workers, core.NewScaleInputs)
+}
+
+// evaluateWith is evaluateInstances with the scaled-input builder as a
+// parameter.
+func evaluateWith(ctx context.Context, insts []Instance, workers int, build inputBuilder) ([]core.Metrics, []error, []time.Duration, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -152,6 +218,7 @@ func evaluateInstances(ctx context.Context, insts []Instance, workers int) ([]co
 	}
 	results := make([]core.Metrics, len(insts))
 	errs := make([]error, len(insts))
+	order, groups := planInputs(insts)
 
 	// Progress reporting is opt-in via WithProgress and per-instance
 	// timing via WithTiming; when both are absent the workers take no
@@ -179,11 +246,11 @@ func evaluateInstances(ctx context.Context, insts []Instance, workers int) ([]co
 			defer wg.Done()
 			for i := range jobs {
 				if report == nil && !timing {
-					results[i], errs[i] = evalOne(insts[i])
+					results[i], errs[i] = evalOne(insts[i], groups[i], build)
 					continue
 				}
 				t0 := time.Now()
-				results[i], errs[i] = evalOne(insts[i])
+				results[i], errs[i] = evalOne(insts[i], groups[i], build)
 				wall := time.Since(t0)
 				if timing {
 					walls[i] = wall
@@ -203,7 +270,7 @@ func evaluateInstances(ctx context.Context, insts []Instance, workers int) ([]co
 		}()
 	}
 feed:
-	for i := range insts {
+	for _, i := range order {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():

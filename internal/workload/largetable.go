@@ -58,7 +58,7 @@ func pickLength(rng *RNG, weights []lengthWeight) int {
 // /32 blocks (allocation locality: shared high bits, dense subtrees);
 // shorter prefixes are independent RIR-scale blocks. All destinations
 // stay inside 2000::/4 — not merely 2000::/3, which would contain
-// 3000::/4 — so 3000::/4 addresses are guaranteed misses; SampleDests
+// 3000::/4 — so 3000::/4 addresses miss the generated table; SampleDests
 // relies on this to avoid O(n) miss verification.
 func GenerateLargeRoutes(spec LargeTableSpec) []rtable.Route {
 	if spec.Ifaces <= 0 {
@@ -108,11 +108,13 @@ func GenerateLargeRoutes(spec LargeTableSpec) []rtable.Route {
 }
 
 // SampleDests returns n lookup destinations for the given routes: a
-// missRatio fraction are guaranteed misses in 3000::/4 (no per-sample
-// table scan — valid only for tables confined to 2000::/4, as
-// GenerateLargeRoutes produces; GenerateRoutes tables need the
-// rejection-sampling missSpace instead), the rest are random hosts
-// inside randomly chosen installed prefixes. This is the cheap
+// missRatio fraction are drawn from 3000::/4, the rest are random hosts
+// inside randomly chosen routes. The 3000::/4 draws take no per-sample
+// table scan and miss only a table confined to 2000::/4, as
+// GenerateLargeRoutes produces (GenerateRoutes tables need the
+// rejection-sampling missSpace instead). GenerateChurn draws its
+// inserts from 2000::/3, which contains 3000::/4, so after churn a
+// miss draw can hit an inserted route. This is the cheap
 // probe-measurement workload for million-route tables, where building
 // full datagrams and rejection-sampling misses would dominate runtime.
 func SampleDests(routes []rtable.Route, n int, missRatio float64, seed uint64) []bits.Word128 {
